@@ -25,19 +25,19 @@ from .fock_states import SchemeConfig
 from .keyrate import KeyRatePoint, NumericalDomainError, key_rate
 
 _SERIES_MAX_TERMS = 400
+_HANKEL_FROM = 50.0  # the power series below this argument, Hankel's expansion above
 
 
-def bessel_i(order: int, x: float) -> float:
-    """Modified Bessel function of the first kind, orders 0 and 1.
-
-    Power series sum_j (x/2)^(2j+order) / (j! (j+order)!); all terms are
-    positive, so no cancellation occurs and the truncated sum is accurate to
-    machine precision for the argument range used here (x <= ~700).
-    """
+def _check_bessel_args(order: int, x: float) -> None:
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
-    if x < 0:
+    if not x >= 0:
         raise ValueError("x must be >= 0")
+
+
+def _bessel_series(order: int, x: float) -> float:
+    """sum_j (x/2)^(2j+order) / (j! (j+order)!); all terms are positive, so no
+    cancellation occurs (used for x < _HANKEL_FROM, about 60 terms)."""
     half = x / 2.0
     term = half if order == 1 else 1.0
     total = term
@@ -47,6 +47,45 @@ def bessel_i(order: int, x: float) -> float:
         if term < total * 1e-17:
             break
     return total
+
+
+def _bessel_hankel_scaled(order: int, x: float) -> float:
+    """e^-x I_order(x) from Hankel's asymptotic expansion (DLMF 10.40.1),
+    (2 pi x)^(-1/2) sum_k (-1)^k a_k(order) / x^k.  For x >= 50 the terms fall
+    below 1e-17 long before they start to grow, and the neglected e^-2x part
+    is far below rounding."""
+    mu = 4.0 * order * order
+    term = total = 1.0
+    for k in range(1, _SERIES_MAX_TERMS):
+        term *= -(mu - (2 * k - 1) ** 2) / (8.0 * k * x)
+        total += term
+        if abs(term) < abs(total) * 1e-17:
+            break
+    return total / math.sqrt(2.0 * math.pi * x)
+
+
+def bessel_i(order: int, x: float) -> float:
+    """Modified Bessel function of the first kind, orders 0 and 1.
+
+    Power series below x = 50, Hankel's expansion above; inf once the value
+    leaves the float range (x above about 713).
+    """
+    _check_bessel_args(order, x)
+    if x < _HANKEL_FROM:
+        return _bessel_series(order, x)
+    try:
+        return math.exp(x) * _bessel_hankel_scaled(order, x)
+    except OverflowError:
+        return math.inf
+
+
+def bessel_ive(order: int, x: float) -> float:
+    """Exponentially scaled Bessel function e^-x I_order(x), orders 0 and 1;
+    finite for every x >= 0."""
+    _check_bessel_args(order, x)
+    if x < _HANKEL_FROM:
+        return _bessel_series(order, x) * math.exp(-x)
+    return _bessel_hankel_scaled(order, x)
 
 
 @dataclass(frozen=True)
@@ -73,12 +112,18 @@ def weibull_params(sigma_b: float, beta_r: float = 1.0, w: float = 1.0) -> Fadin
     eta0^2 = 1 - exp(-2h)
     lambda = 8h [e^{-4h} I1(4h) / (1 - e^{-4h} I0(4h))] / ln(2 eta0^2 / (1 - e^{-4h} I0(4h)))
     L      = beta_r [ln(...)]^{-1/lambda}
+
+    The products e^{-4h} I(4h) are taken from the scaled Bessel function, so
+    they stay finite for any aperture-to-beam ratio.
     """
+    for name, value in (("sigma_b", sigma_b), ("beta_r", beta_r), ("w", w)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
     if sigma_b <= 0 or beta_r <= 0 or w <= 0:
         raise ValueError("sigma_b, beta_r and w must all be positive")
     h = (beta_r / w) ** 2
     eta0_sq = 1.0 - math.exp(-2.0 * h)
-    denom = 1.0 - math.exp(-4.0 * h) * bessel_i(0, 4.0 * h)
+    denom = 1.0 - bessel_ive(0, 4.0 * h)
     if denom <= 0.0 or eta0_sq <= 0.0:
         raise ValueError(f"degenerate beam geometry (h={h:.3g}): no fading support")
     ln_arg = 2.0 * eta0_sq / denom
@@ -87,7 +132,7 @@ def weibull_params(sigma_b: float, beta_r: float = 1.0, w: float = 1.0) -> Fadin
             f"degenerate beam geometry (h={h:.3g}): shape parameter undefined"
         )
     ln_term = math.log(ln_arg)
-    lam = 8.0 * h * (math.exp(-4.0 * h) * bessel_i(1, 4.0 * h) / denom) / ln_term
+    lam = 8.0 * h * (bessel_ive(1, 4.0 * h) / denom) / ln_term
     l_scale = beta_r * ln_term ** (-1.0 / lam)
     return FadingModel(
         sigma_b=sigma_b,

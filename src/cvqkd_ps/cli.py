@@ -82,7 +82,9 @@ def _add_common(p: argparse.ArgumentParser, command: str) -> None:
     p.add_argument("--beta-sq", type=float, default=0.001, help="Eve mean photon number")
     p.add_argument("--t-s", type=float, default=0.9, help="tap beam-splitter transmissivity")
     p.add_argument("--recon-eff", type=float, default=0.95, help="reconciliation efficiency")
-    p.add_argument("--trunc", type=int, default=20, help="Fock truncation for n and m sums")
+    p.add_argument("--trunc", type=int, default=20,
+                   help="Fock cutoff of the reference pipeline, recorded in the output; "
+                        "key rates are computed exactly, without truncation")
     p.add_argument("--start", type=float, default=start, help="axis start")
     p.add_argument("--stop", type=float, default=stop, help="axis stop")
     p.add_argument("--points", type=int, default=points, help="axis point count")

@@ -22,6 +22,9 @@ Conventions (fixed throughout the package):
 States are stored sparsely: a lexicographically sorted table of occupation
 quadruples with one real amplitude each.  Distinct summation indices that
 land on the same quadruple are accumulated before normalization.
+
+The key rates come from the untruncated moments of ``exact``; this truncated
+construction (with ``moments``) is the reference they are tested against.
 """
 
 from __future__ import annotations
@@ -53,7 +56,9 @@ class SchemeConfig:
     alpha_sq / beta_sq are the mean photon numbers of Alice's and Eve's TMSV
     (alpha^2 = sinh^2 r with squeezing parameter r, phase 0), t_s the tap
     beam-splitter transmissivity, recon_eff the reconciliation efficiency f,
-    and trunc_n the Fock cutoff applied to both TMSV expansions.
+    and trunc_n the Fock cutoff applied to both TMSV expansions by the
+    reference pipeline here (``build_state``).  ``keyrate.key_rate`` works
+    without truncation and ignores trunc_n.
     """
 
     scheme: str
@@ -66,6 +71,9 @@ class SchemeConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
+        for name in ("alpha_sq", "beta_sq", "t_s", "recon_eff"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.alpha_sq < 0 or self.beta_sq < 0:
             raise ValueError("mean photon numbers must be >= 0")
         if not 0.0 <= self.t_s <= 1.0:

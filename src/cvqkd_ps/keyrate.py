@@ -1,17 +1,22 @@
-"""Gaussian lower bound on the secret key rate for one channel instance.
+"""Gaussian key-rate figure of merit for one channel instance.
 
 The non-Gaussian post-channel state is replaced by the Gaussian state with
-the same covariance matrix, which lower-bounds the key under collective
-attacks.  Bob homodynes, reconciliation is reverse with efficiency f, and
-Eve holds the (E, F) pair, so
+the same covariance matrix.  Bob homodynes, reconciliation is reverse with
+efficiency f, and Eve holds the (E, F) pair, so
 
     rate_raw = f * I(A:B2) - [S(EF) - S(EF | x_B2)]
 
-with all entropies evaluated from symplectic eigenvalues.  The per-pulse
-rate multiplies by the tap success probability; rate_normalized leaves that
-factor out, modelling a quantum memory that serves tapped states on demand.
-Negative values are reported as-is; averaging layers decide what to do with
-them.
+with all entropies evaluated from symplectic eigenvalues.  S(EF) is taken
+from the Gaussian surrogate of Eve's own (E, F) block.  For nops the global
+state is Gaussian and pure, so this is the usual collective-attack bound.
+For tps and rps it is not shown to be a lower bound: Gaussian extremality
+bounds chi with a purification of the (A, B2) surrogate instead, and the two
+differ by up to 2 bits (exactly 2 on a lossless channel).
+
+The per-pulse rate multiplies by the tap success probability;
+rate_normalized leaves that factor out, modelling a quantum memory that
+serves tapped states on demand.  Negative values are reported as-is;
+averaging layers decide what to do with them.
 """
 
 from __future__ import annotations
@@ -19,8 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .fock_states import SchemeConfig, build_state
-from .moments import CovarianceSummary, covariance_summary
+from .exact import exact_summary
+from .fock_states import SchemeConfig
+from .moments import CovarianceSummary
 
 LOG2 = math.log(2.0)
 
@@ -109,11 +115,6 @@ def eve_cov(s: CovarianceSummary) -> TwoModeCov:
     return TwoModeCov.symmetric(s.v_e, s.v_f, s.c_ef, sign=-1)
 
 
-def alice_bob_cov(s: CovarianceSummary) -> TwoModeCov:
-    """The (A, B2) covariance matrix (used for cross-validation)."""
-    return TwoModeCov.symmetric(s.v_a, s.v_b2, s.c_ab2, sign=-1)
-
-
 def conditional_cov_ef_given_b2(s: CovarianceSummary) -> TwoModeCov:
     """Eve's (E, F) covariance after Bob's x homodyne.
 
@@ -136,7 +137,12 @@ def conditional_cov_ef_given_b2(s: CovarianceSummary) -> TwoModeCov:
 
 
 def holevo_bound(s: CovarianceSummary) -> float:
-    """chi(B2:EF) = g-sum of M_EF minus g-sum of M_EF|B2."""
+    """chi(B2:EF) = g-sum of M_EF minus g-sum of M_EF|B2.
+
+    Both covariance matrices are Eve's own blocks.  For a non-Gaussian state
+    (tps, rps) this surrogate chi is not shown to upper-bound Eve's Holevo
+    information; see the module docstring.
+    """
     nu_p, nu_m = symplectic_eigenvalues(eve_cov(s))
     nuc_p, nuc_m = symplectic_eigenvalues(conditional_cov_ef_given_b2(s))
     return (
@@ -147,7 +153,7 @@ def holevo_bound(s: CovarianceSummary) -> float:
 
 @dataclass(frozen=True)
 class KeyRatePoint:
-    """Key-rate bound at one channel transmissivity.
+    """Gaussian key-rate figure at one channel transmissivity.
 
     rate_raw is in bits per tapped (conditioned) use, rate = p_sub * rate_raw
     in bits per source pulse, rate_normalized = rate_raw (memory-assisted).
@@ -183,9 +189,16 @@ def key_rate_from_summary(s: CovarianceSummary, recon_eff: float, t_e: float) ->
 
 
 def key_rate(cfg: SchemeConfig, t_e: float) -> KeyRatePoint:
-    """Build the state, extract moments and evaluate the Gaussian bound."""
-    state = build_state(cfg, t_e)
-    s = covariance_summary(state)
+    """Exact moments of the untruncated state, then the Gaussian figure.
+
+    Where the tap can never fire there is no conditional state: p_sub and
+    every rate are 0.  ``cfg.trunc_n`` is not used here; the truncated Fock
+    pipeline (``build_state`` + ``covariance_summary``) is the reference.
+    """
+    s = exact_summary(cfg, t_e)
+    if s is None:
+        return KeyRatePoint(t_e=t_e, i_g=0.0, chi_g=0.0, p_sub=0.0,
+                            rate_raw=0.0, rate=0.0, rate_normalized=0.0)
     try:
         return key_rate_from_summary(s, cfg.recon_eff, t_e)
     except NumericalDomainError as exc:

@@ -118,6 +118,7 @@ def _metadata(config: ExperimentConfig) -> dict:
         "t_s": config.base.t_s,
         "recon_eff": config.base.recon_eff,
         "trunc_n": config.base.trunc_n,
+        "backend": "exact",
         "start": config.axis()[0],
         "stop": config.axis()[-1],
         "points": len(config.axis()),

@@ -10,6 +10,7 @@ from cvqkd_ps import (
     average_key_rate,
     average_key_rates,
     bessel_i,
+    bessel_ive,
     cdf,
     distance_to_transmissivity,
     inverse_cdf,
@@ -46,10 +47,32 @@ def test_bessel_against_scipy(order):
 
 
 def test_bessel_errors():
-    with pytest.raises(ValueError):
-        bessel_i(2, 1.0)
-    with pytest.raises(ValueError):
-        bessel_i(0, -1.0)
+    for fn in (bessel_i, bessel_ive):
+        with pytest.raises(ValueError):
+            fn(2, 1.0)
+        with pytest.raises(ValueError):
+            fn(0, -1.0)
+        with pytest.raises(ValueError):
+            fn(0, math.nan)
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_scaled_bessel_against_scipy(order):
+    # both sides of the switch from the series to Hankel's expansion at x = 50
+    xs = np.concatenate([np.geomspace(1.0, 5000.0, 200), np.linspace(45.0, 55.0, 41)])
+    for x in xs:
+        assert bessel_ive(order, float(x)) == pytest.approx(
+            float(special.ive(order, x)), rel=1e-12
+        )
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_bessel_large_arguments(order):
+    for x in np.linspace(50.0, 700.0, 66):
+        assert bessel_i(order, float(x)) == pytest.approx(
+            float(special.iv(order, x)), rel=1e-12
+        )
+    assert bessel_i(order, 800.0) == math.inf
 
 
 # ----------------------------------------------------------------- parameters
@@ -78,6 +101,32 @@ def test_weibull_invalid_inputs():
     for bad in ((0.0, 1, 1), (1, -1, 1), (1, 1, 0)):
         with pytest.raises(ValueError):
             weibull_params(*bad)
+
+
+@pytest.mark.parametrize("field", ["sigma_b", "beta_r", "w"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_weibull_rejects_non_finite(field, value):
+    args = {"sigma_b": 1.0, "beta_r": 1.0, "w": 1.0, field: value}
+    with pytest.raises(ValueError, match=field):
+        weibull_params(**args)
+
+
+def _scipy_weibull_shape(beta_r):
+    """(lambda, L) at w = 1 from scipy's scaled Bessel functions."""
+    h = beta_r**2
+    i0, i1 = special.ive(0, 4 * h), special.ive(1, 4 * h)
+    ln_term = math.log(2 * (1 - math.exp(-2 * h)) / (1 - i0))
+    lam = 8 * h * i1 / (1 - i0) / ln_term
+    return lam, beta_r * ln_term ** (-1 / lam)
+
+
+@pytest.mark.parametrize("beta_r", [1.0, 5.0, 13.0, 14.0, 30.0])
+def test_weibull_wide_apertures(beta_r):
+    # e^-4h I0(4h) was 0 * inf from beta_r = 14 (h = 196) on
+    m = weibull_params(1.0, beta_r=beta_r)
+    lam, l_scale = _scipy_weibull_shape(beta_r)
+    assert m.lambda_shape == pytest.approx(lam, rel=1e-12)
+    assert m.l_scale == pytest.approx(l_scale, rel=1e-12)
 
 
 # ------------------------------------------------------------------ pdf / cdf

@@ -234,6 +234,13 @@ def test_config_validation():
         build_state(cfg("nops"), 1.5)
 
 
+@pytest.mark.parametrize("field", ["alpha_sq", "beta_sq", "t_s", "recon_eff"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        SchemeConfig("tps", **{field: value})
+
+
 def test_squeezing_parameter():
     c = cfg("nops")
     assert math.sinh(c.squeezing_r) ** 2 == pytest.approx(1.3, rel=1e-12)

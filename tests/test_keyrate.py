@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import cvqkd_ps.channel as channel_mod
+from cvqkd_ps.keyrate import key_rate_from_summary
 from cvqkd_ps import (
     NumericalDomainError,
     SchemeConfig,
@@ -157,8 +158,13 @@ def test_chi_vanishes_lossless_noiseless_all_schemes():
         assert abs(kr.chi_g) <= 1e-7, scheme
 
 
+def _fock_key_rate(cfg, t_e):
+    """The truncated reference pipeline: Fock table, moments, bound."""
+    return key_rate_from_summary(covariance_summary(build_state(cfg, t_e)), cfg.recon_eff, t_e)
+
+
 def test_matches_naive_pipeline_tps():
-    kr = key_rate(SchemeConfig("tps"), 0.9)
+    kr = _fock_key_rate(SchemeConfig("tps"), 0.9)
     naive = oracles.naive_key_rate("tps", 1.3, 0.001, 0.9, 0.9, 20)
     assert kr.rate == pytest.approx(naive["rate"], abs=1e-8)
     assert kr.i_g == pytest.approx(naive["i_g"], abs=1e-10)
@@ -167,7 +173,7 @@ def test_matches_naive_pipeline_tps():
 
 @pytest.mark.parametrize("scheme", ["nops", "rps"])
 def test_matches_naive_pipeline_other_schemes(scheme):
-    kr = key_rate(SchemeConfig(scheme, trunc_n=14), 0.45)
+    kr = _fock_key_rate(SchemeConfig(scheme, trunc_n=14), 0.45)
     naive = oracles.naive_key_rate(scheme, 1.3, 0.001, 0.9, 0.45, 14)
     assert kr.rate == pytest.approx(naive["rate"], abs=1e-10)
 

@@ -158,6 +158,7 @@ def test_metadata_contents():
     assert md["experiment"] == "satellite_closeup"
     assert md["schemes"] == "tps"
     assert md["trunc_n"] == 10
+    assert md["backend"] == "exact"
     assert md["nodes"] == 24
     assert "threads" not in md  # execution detail, not part of the result
 
