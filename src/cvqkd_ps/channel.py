@@ -10,7 +10,9 @@ Averages over the fading distribution use the exact inverse-CDF substitution
 eta(u), turning K_avg into an integral over the unit interval that is
 evaluated with Gauss-Legendre nodes.  Negative key-rate bounds mean "no key",
 so by default they are clamped to zero inside the average (the raw signed
-integral stays available via clamp_negative=False).
+integral stays available via clamp_negative=False): the key rate depends on
+u only through T_E = eta(u)^2, which rises with u, so its zero crossings are
+located on the T_E axis and mapped to u with the CDF.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fock_states import SchemeConfig
-from .keyrate import KeyRatePoint, NumericalDomainError, key_rate
+from .keyrate import KeyRatePoint, NumericalDomainError, key_rates
 
 _SERIES_MAX_TERMS = 400
 _HANKEL_FROM = 50.0  # the power series below this argument, Hankel's expansion above
@@ -170,14 +172,14 @@ def cdf(model: FadingModel, eta: float) -> float:
     return math.exp(-a * y ** (2.0 / model.lambda_shape))
 
 
-def inverse_cdf(model: FadingModel, u: float) -> float:
-    """eta(u) = eta0 exp(-1/2 (2 sigma_b^2 (-ln u) / L^2)^(lambda/2)) for u in (0, 1]."""
-    if u <= 0.0:
+def inverse_cdf(model: FadingModel, u):
+    """eta(u) = eta0 exp(-1/2 (2 sigma_b^2 (-ln u) / L^2)^(lambda/2)) for u in
+    (0, 1]; u may be an array."""
+    u = np.asarray(u, dtype=float)
+    if not np.all((u > 0.0) & (u <= 1.0)):
         raise ValueError("u must lie in (0, 1]")
-    if u > 1.0:
-        raise ValueError("u must lie in (0, 1]")
-    x = 2.0 * model.sigma_b**2 * (-math.log(u)) / model.l_scale**2
-    return model.eta0 * math.exp(-0.5 * x ** (model.lambda_shape / 2.0))
+    x = 2.0 * model.sigma_b**2 * (-np.log(u)) / model.l_scale**2
+    return model.eta0 * np.exp(-0.5 * x ** (model.lambda_shape / 2.0))
 
 
 def distance_to_transmissivity(d_km: float, atten_db_per_km: float) -> float:
@@ -190,8 +192,7 @@ def distance_to_transmissivity(d_km: float, atten_db_per_km: float) -> float:
 def mean_transmissivity(model: FadingModel, nodes: int = 400) -> float:
     """E[eta^2] over the fading law (Gauss-Legendre on the inverse CDF)."""
     u, w = _unit_interval_rule(nodes)
-    eta = np.array([inverse_cdf(model, ui) for ui in u])
-    return float(np.dot(w, eta * eta))
+    return float(np.dot(w, inverse_cdf(model, u) ** 2))
 
 
 @dataclass(frozen=True)
@@ -221,63 +222,83 @@ def _unit_interval_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return u, w / 2.0
 
 
-def _point(cfg: SchemeConfig, model: FadingModel, u: float, where: str) -> KeyRatePoint:
-    t_e = inverse_cdf(model, u) ** 2
+_ROOT_XTOL = 1e-14
+_ROOT_MAX_STEPS = 100
+
+
+def _rates(cfg: SchemeConfig, model: FadingModel, t, stage: str, u=None) -> KeyRatePoint:
+    """key_rates at the transmissivities t; a NumericalDomainError also names
+    sigma_b and the stage, element, T_E and u where it fired."""
     try:
-        return key_rate(cfg, t_e)
+        return key_rates(cfg, t)
     except NumericalDomainError as exc:
-        raise NumericalDomainError(f"{exc} at quadrature {where}") from exc
+        i = getattr(exc, "index", 0)
+        at = f"T_E={t[i]:.6g}" + ("" if u is None else f", u={u[i]:.6g}")
+        raise NumericalDomainError(
+            f"{exc} at sigma_b={model.sigma_b:.6g}, {stage} {i} ({at})") from exc
 
 
-def _signed_average(cfg, model, u, w) -> AveragedKeyRate:
-    rate = 0.0
-    raw = 0.0
-    for i, (ui, wi) in enumerate(zip(u, w)):
-        kr = _point(cfg, model, float(ui), f"node {i}")
-        rate += wi * kr.rate
-        raw += wi * kr.rate_raw
-    return AveragedKeyRate(rate=float(rate), rate_normalized=float(raw))
-
-
-def _bisect_crossing(cfg, model, lo: float, hi: float, f_lo: float) -> float:
-    """Sign change of rate_raw between lo and hi on the u axis."""
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        f_mid = _point(cfg, model, mid, f"bisection u={mid:.6g}").rate_raw
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
+def _brent(f, a: float, b: float, fa: float, fb: float) -> float:
+    """Zero of f between a and b, where fa = f(a) and fb = f(b) differ in sign
+    or vanish: Brent's method (inverse quadratic interpolation or secant
+    steps, bisection whenever they would not shrink the bracket fast enough;
+    Brent, Algorithms for Minimization without Derivatives, 1973, ch. 4)."""
+    if fa == 0.0:
+        return a
+    c, fc, d, e = a, fa, b - a, b - a
+    for _ in range(_ROOT_MAX_STEPS):
+        if fb == 0.0:
+            return b
+        if (fb > 0.0) == (fc > 0.0):  # keep the root between b and c
+            c, fc, d, e = a, fa, b - a, b - a
+        if abs(fc) < abs(fb):  # b is the best estimate so far
+            a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
+        tol = 2.0 * np.finfo(float).eps * abs(b) + 0.5 * _ROOT_XTOL
+        m = 0.5 * (c - b)
+        if abs(m) <= tol:
+            return b
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            p, q = (p, -q) if p > 0.0 else (-p, q)
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
+    return b
 
 
-def _positive_segments(cfg, model, quad) -> list[tuple[float, float]]:
-    """u-intervals on which rate_raw > 0, located by a scan plus bisection.
+def _positive_region(cfg: SchemeConfig, model: FadingModel, probes: int) -> list:
+    """u-intervals on which rate_raw > 0 (and so rate, as p_sub >= 0).
 
-    The tap probability is nonnegative, so rate and rate_raw change sign
-    together and one segment list serves both averages.
+    rate_raw depends on u only through T_E = eta(u)^2 in [0, eta0^2], which
+    rises with u: one scan over that range brackets the sign changes, a Brent
+    step refines each, and each crossing T* maps to u* = cdf(sqrt(T*)).
     """
-    u_lo, u_hi = 1e-12, 1.0
-    probes = np.linspace(u_lo, u_hi, max(65, quad.node_count // 2 + 1))
-    signs = [_point(cfg, model, float(ui), f"scan u={ui:.6g}").rate_raw > 0.0 for ui in probes]
-    segments = []
-    start = float(probes[0]) if signs[0] else None
-    for i in range(1, len(probes)):
-        if signs[i] == signs[i - 1]:
-            continue
-        lo, hi = float(probes[i - 1]), float(probes[i])
-        f_lo = _point(cfg, model, lo, f"bracket u={lo:.6g}").rate_raw
-        crossing = _bisect_crossing(cfg, model, lo, hi, f_lo)
-        if signs[i]:
-            start = crossing
-        else:
-            segments.append((start, crossing))
-            start = None
-    if start is not None:
-        segments.append((start, u_hi))
-    return segments
+    t = np.linspace(0.0, model.eta0**2, probes)
+    f = _rates(cfg, model, t, "scan").rate_raw
+    pos = f > 0.0
+
+    def root_step(x: float) -> float:
+        return float(_rates(cfg, model, np.array([x]), "root step").rate_raw[0])
+
+    edges = [0.0]
+    for i in np.flatnonzero(pos[1:] != pos[:-1]):
+        t_star = _brent(root_step, t[i], t[i + 1], f[i], f[i + 1])
+        edges.append(cdf(model, math.sqrt(t_star)))
+    edges.append(1.0)
+    return [(a, b) for k, (a, b) in enumerate(zip(edges, edges[1:]))
+            if pos[0] == (k % 2 == 0) and b > a]
 
 
 def average_key_rates(cfg: SchemeConfig, model: FadingModel, quad: QuadratureSpec) -> AveragedKeyRate:
@@ -286,31 +307,22 @@ def average_key_rates(cfg: SchemeConfig, model: FadingModel, quad: QuadratureSpe
     Unclamped: one Gauss-Legendre rule over u in (0, 1) applied to the signed
     integrand.  Clamped: the integral runs over the located positive region
     only (exact rewriting of the max(K, 0) integrand), with the node budget
-    split across segments in proportion to their length.  Both reductions run
-    in fixed node order, so results are bit-reproducible.
+    split across segments in proportion to their length.  All nodes go
+    through one array call, and the reductions run in fixed node order, so
+    results are bit-reproducible.
     """
-    u, w = _unit_interval_rule(quad.node_count)
-    if not quad.clamp_negative:
-        return _signed_average(cfg, model, u, w)
-
-    segments = _positive_segments(cfg, model, quad)
-    if not segments:
-        return AveragedKeyRate(rate=0.0, rate_normalized=0.0)
-    if len(segments) == 1 and segments[0] == (1e-12, 1.0):
-        # strictly positive everywhere: the plain rule is already exact
-        return _signed_average(cfg, model, u, w)
-
-    total_len = sum(b - a for a, b in segments)
-    rate = 0.0
-    raw = 0.0
-    for a, b in segments:
-        n_seg = max(16, int(round(quad.node_count * (b - a) / total_len)))
-        us, ws = _unit_interval_rule(n_seg)
-        for i, (ui, wi) in enumerate(zip(us, ws)):
-            kr = _point(cfg, model, a + (b - a) * float(ui), f"segment node {i}")
-            rate += (b - a) * wi * kr.rate
-            raw += (b - a) * wi * kr.rate_raw
-    return AveragedKeyRate(rate=float(rate), rate_normalized=float(raw))
+    segments = [(0.0, 1.0)]
+    if quad.clamp_negative:
+        segments = _positive_region(cfg, model, max(65, quad.node_count // 2 + 1))
+        if not segments:
+            return AveragedKeyRate(rate=0.0, rate_normalized=0.0)
+    total = sum(b - a for a, b in segments)
+    rules = [(a, b - a, *_unit_interval_rule(max(16, round(quad.node_count * (b - a) / total))))
+             for a, b in segments]
+    u = np.concatenate([a + h * us for a, h, us, _ in rules])
+    w = np.concatenate([h * ws for _, h, _, ws in rules])
+    kr = _rates(cfg, model, inverse_cdf(model, u) ** 2, "node", u)
+    return AveragedKeyRate(rate=float(w @ kr.rate), rate_normalized=float(w @ kr.rate_raw))
 
 
 def average_key_rate(cfg: SchemeConfig, model: FadingModel, quad: QuadratureSpec) -> float:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 
 from .channel import QuadratureSpec
 from .fock_states import SCHEMES, SchemeConfig
@@ -128,6 +129,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, commands
 
 
+@lru_cache(maxsize=1)
+def _shared_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """build_parser, once per process; parsing never changes the parsers."""
+    return build_parser()
+
+
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     exp = _EXPERIMENT_FOR_COMMAND[args.command]
     schemes = tuple(args.scheme) if args.scheme else SCHEMES
@@ -166,32 +173,28 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, commands = build_parser()
-
-    # first pass only to locate --config; its values become subparser defaults
-    # so that explicit flags keep priority
-    probe, _ = parser.parse_known_args(argv)
-    file_schemes = None
-    if getattr(probe, "config", None):
-        raw = read_config_file(probe.config)
-        sp = commands[probe.command]
+    parser, commands = _shared_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        # parse the command's flags again over a namespace holding the file's
+        # values: argparse fills in only the defaults the namespace lacks, so
+        # explicit flags keep priority and the shared parsers stay unchanged
+        sp = commands[args.command]
         dests = {a.dest for a in sp._actions}
-        defaults = {}
-        for key, value in raw.items():
+        seeded = argparse.Namespace(command=args.command)
+        file_schemes = None
+        for key, value in read_config_file(args.config).items():
             if key not in _CONFIG_PARSERS:
                 raise ValueError(f"unknown config key {key!r}")
             parsed = _CONFIG_PARSERS[key](value)
             if key == "scheme":
                 # append actions extend their default, so merge by hand
                 file_schemes = tuple(parsed)
-                continue
-            if key in dests:
-                defaults[key] = parsed
-        sp.set_defaults(**defaults)
-
-    args = parser.parse_args(argv)
-    if args.scheme is None and file_schemes is not None:
-        args.scheme = list(file_schemes)
+            elif key in dests:
+                setattr(seeded, key, parsed)
+        args = sp.parse_args(argv[argv.index(args.command) + 1:], namespace=seeded)
+        if args.scheme is None and file_schemes is not None:
+            args.scheme = list(file_schemes)
     config = config_from_args(args)
     result = run_experiment(config)
     emit_csv(result, args.out)

@@ -17,25 +17,39 @@ The per-pulse rate multiplies by the tap success probability;
 rate_normalized leaves that factor out, modelling a quantum memory that
 serves tapped states on demand.  Negative values are reported as-is;
 averaging layers decide what to do with them.
+
+Every function here takes floats or equal-length arrays alike; the guards
+apply per element and name the first element that fails.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .exact import exact_summary
 from .fock_states import SchemeConfig
 from .moments import CovarianceSummary
 
-LOG2 = math.log(2.0)
-
 _NU_CLAMP = 1e-7
 _DISC_TOL = 1e-6
+_V_A_MAX = 1e9  # beyond, Eve's O(1) conditional variances cancel from O(V_A) terms
 
 
 class NumericalDomainError(RuntimeError):
     """A covariance quantity left its physical domain (beyond tolerance)."""
+
+
+def _check(bad, error: type, message: str, *values) -> None:
+    """Raise error(message filled with the values at the first element where
+    bad holds); ``index`` on the exception names that element."""
+    bad = np.asarray(bad)
+    if bad.any():
+        i = int(bad.argmax())
+        exc = error(message.format(*(np.ravel(v)[i] for v in values)))
+        exc.index = i
+        raise exc
 
 
 @dataclass(frozen=True)
@@ -70,18 +84,13 @@ def symplectic_eigenvalues(m: TwoModeCov) -> tuple[float, float]:
     delta = m.ax * m.ap + m.bx * m.bp + 2.0 * m.cx * m.cp
     det_m = (m.ax * m.bx - m.cx * m.cx) * (m.ap * m.bp - m.cp * m.cp)
     disc = delta * delta - 4.0 * det_m
-    if disc < -_DISC_TOL:
-        raise NumericalDomainError(
-            f"non-physical covariance matrix: Delta^2 - 4 det M = {disc:.3e}"
-        )
-    root = math.sqrt(max(disc, 0.0))
-    nus = []
-    for sq in ((delta + root) / 2.0, (delta - root) / 2.0):
-        nu = math.sqrt(max(sq, 0.0))
-        if 1.0 - _NU_CLAMP <= nu < 1.0:
-            nu = 1.0
-        nus.append(nu)
-    return nus[0], nus[1]
+    _check(disc < -_DISC_TOL, NumericalDomainError,
+           "non-physical covariance matrix: Delta^2 - 4 det M = {:.3e}", disc)
+    nu_p_sq = (delta + np.sqrt(np.maximum(disc, 0.0))) / 2.0
+    # nu_-^2 = det M / nu_+^2: (Delta - sqrt(disc)) / 2 cancels once Delta >> 1
+    nu = np.sqrt(np.maximum((nu_p_sq, det_m / nu_p_sq), 0.0))
+    nu = np.where((nu >= 1.0 - _NU_CLAMP) & (nu < 1.0), 1.0, nu)
+    return nu[0], nu[1]
 
 
 def von_neumann_g(v: float) -> float:
@@ -89,25 +98,22 @@ def von_neumann_g(v: float) -> float:
 
     g(v) = ((v+1)/2) log2((v+1)/2) - ((v-1)/2) log2((v-1)/2), with g(1) = 0.
     """
-    if v < 1.0 - _NU_CLAMP:
-        raise ValueError(f"symplectic eigenvalue {v} below 1")
-    if v <= 1.0:
-        return 0.0
-    up = (v + 1.0) / 2.0
-    dn = (v - 1.0) / 2.0
-    return up * math.log2(up) - dn * math.log2(dn)
+    _check(v < 1.0 - _NU_CLAMP, ValueError, "symplectic eigenvalue {} below 1", v)
+    x = np.maximum(v, 1.0)  # g = 0 for v within the clamp below 1
+    up = (x + 1.0) / 2.0
+    dn = (x - 1.0) / 2.0
+    return up * np.log2(up) - dn * np.log2(np.where(dn > 0.0, dn, 1.0))
 
 
 def mutual_information(v_a: float, v_b2: float, c_ab2: float) -> float:
     """I(A:B2) = 0.5 log2(V_B2 / V_B2|A) with V_B2|A = V_B2 - C^2/V_A."""
-    if v_a <= 0.0 or v_b2 <= 0.0:
-        raise ValueError("variances must be positive")
-    if c_ab2 * c_ab2 > v_a * v_b2:
-        raise ValueError("covariance exceeds the Cauchy-Schwarz bound")
-    cond = v_b2 - c_ab2 * c_ab2 / v_a
-    if cond <= 0.0:
-        raise NumericalDomainError(f"conditional variance {cond:.3e} <= 0")
-    return 0.5 * math.log2(v_b2 / cond)
+    prod = v_a * v_b2
+    det = prod - c_ab2 * c_ab2  # V_A V_B2|A
+    if np.asarray((v_a <= 0.0) | (v_b2 <= 0.0) | (det <= 0.0)).any():
+        _check((v_a <= 0.0) | (v_b2 <= 0.0), ValueError, "variances must be positive")
+        _check(det < 0.0, ValueError, "covariance exceeds the Cauchy-Schwarz bound")
+        _check(det <= 0.0, NumericalDomainError, "conditional variance {:.3e} <= 0", det / v_a)
+    return 0.5 * np.log2(prod / det)
 
 
 def eve_cov(s: CovarianceSummary) -> TwoModeCov:
@@ -123,8 +129,7 @@ def conditional_cov_ef_given_b2(s: CovarianceSummary) -> TwoModeCov:
     subtracts c_eb2^2/v_b2, c_fb2^2/v_b2 and the cross term c_eb2*c_fb2/v_b2
     from the x quadratures and leaves p untouched.
     """
-    if s.v_b2 <= 0.0:
-        raise ValueError("v_b2 must be positive")
+    _check(s.v_b2 <= 0.0, ValueError, "v_b2 must be positive")
     inv = 1.0 / s.v_b2
     return TwoModeCov(
         ax=s.v_e - s.c_eb2 * s.c_eb2 * inv,
@@ -143,12 +148,9 @@ def holevo_bound(s: CovarianceSummary) -> float:
     (tps, rps) this surrogate chi is not shown to upper-bound Eve's Holevo
     information; see the module docstring.
     """
-    nu_p, nu_m = symplectic_eigenvalues(eve_cov(s))
-    nuc_p, nuc_m = symplectic_eigenvalues(conditional_cov_ef_given_b2(s))
-    return (
-        von_neumann_g(nu_p) + von_neumann_g(nu_m)
-        - von_neumann_g(nuc_p) - von_neumann_g(nuc_m)
-    )
+    g = von_neumann_g(np.array(symplectic_eigenvalues(eve_cov(s))
+                               + symplectic_eigenvalues(conditional_cov_ef_given_b2(s))))
+    return g[0] + g[1] - g[2] - g[3]
 
 
 @dataclass(frozen=True)
@@ -172,6 +174,10 @@ class KeyRatePoint:
     def to_csv_row(self) -> str:
         return ",".join(f"{getattr(self, c):.12g}" for c in self.CSV_COLUMNS)
 
+    def at(self, i: int) -> "KeyRatePoint":
+        """Element i of an array-valued point, as floats."""
+        return KeyRatePoint(*(float(getattr(self, c)[i]) for c in self.CSV_COLUMNS))
+
 
 def key_rate_from_summary(s: CovarianceSummary, recon_eff: float, t_e: float) -> KeyRatePoint:
     i_g = mutual_information(s.v_a, s.v_b2, s.c_ab2)
@@ -188,23 +194,29 @@ def key_rate_from_summary(s: CovarianceSummary, recon_eff: float, t_e: float) ->
     )
 
 
-def key_rate(cfg: SchemeConfig, t_e: float) -> KeyRatePoint:
-    """Exact moments of the untruncated state, then the Gaussian figure.
+def key_rates(cfg: SchemeConfig, t_e) -> KeyRatePoint:
+    """Exact moments of the untruncated state, then the Gaussian figure, over
+    a 1-D array of transmissivities: a KeyRatePoint of arrays.
 
     Where the tap can never fire there is no conditional state: p_sub and
     every rate are 0.  ``cfg.trunc_n`` is not used here; the truncated Fock
     pipeline (``build_state`` + ``covariance_summary``) is the reference.
+    A NumericalDomainError names the scheme and t_e of the first failing
+    element, and its ``index``.
     """
-    s = exact_summary(cfg, t_e)
-    if s is None:
-        return KeyRatePoint(t_e=t_e, i_g=0.0, chi_g=0.0, p_sub=0.0,
-                            rate_raw=0.0, rate=0.0, rate_normalized=0.0)
+    t = np.atleast_1d(np.asarray(t_e, dtype=float))
+    s = exact_summary(cfg, t)
+    _check(s.v_a > _V_A_MAX, ValueError, f"alpha_sq={cfg.alpha_sq:g} out of range: "
+           f"V_A = {{:.3g}} > {_V_A_MAX:g}, where the bound loses its precision", s.v_a)
     try:
-        return key_rate_from_summary(s, cfg.recon_eff, t_e)
+        return key_rate_from_summary(s, cfg.recon_eff, t)
     except NumericalDomainError as exc:
-        raise NumericalDomainError(f"{exc} (scheme={cfg.scheme}, t_e={t_e})") from exc
+        i = getattr(exc, "index", 0)
+        err = NumericalDomainError(f"{exc} (scheme={cfg.scheme}, t_e={t[i]})")
+        err.index = i
+        raise err from exc
 
 
-def key_rate_batch(cfg: SchemeConfig, t_e_values) -> list[KeyRatePoint]:
-    """key_rate over many transmissivities, output in input order."""
-    return [key_rate(cfg, float(t)) for t in t_e_values]
+def key_rate(cfg: SchemeConfig, t_e: float) -> KeyRatePoint:
+    """key_rates at one transmissivity."""
+    return key_rates(cfg, [t_e]).at(0)

@@ -4,9 +4,10 @@ Six experiment kinds cover the comparisons of interest: key rate against
 channel transmissivity and against distance on a fixed-attenuation link,
 distance grids layered over noise (beta^2) or source strength (alpha^2), and
 fading-channel averages against the beam-wander spread sigma_b (full range
-and close-up).  Grid points are independent, so they can be dispatched to a
-thread pool; rows are always assembled in grid order, making the emitted CSV
-byte-identical for any worker count.
+and close-up).  Each fixed-link scheme and layer is one array call over the
+axis, each fading average one task; tasks are independent, so they can be
+dispatched to a thread pool, and rows are always assembled in grid order,
+making the emitted CSV byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .channel import (
     weibull_params,
 )
 from .fock_states import SCHEMES, SchemeConfig
-from .keyrate import KeyRatePoint, key_rate
+from .keyrate import KeyRatePoint, key_rates
 
 EXPERIMENTS = (
     "transmissivity_sweep",
@@ -159,52 +160,41 @@ def run_experiment(config: ExperimentConfig) -> SweepResult:
     axis = config.axis()
     schemes = tuple(config.schemes)
 
-    if config.experiment == "transmissivity_sweep":
-        columns = ("t_e", "scheme") + _point_columns()
-        tasks = [(float(t), s) for t in axis for s in schemes]
-
-        def worker(task):
-            t_e, scheme = task
-            kr = key_rate(_cfg_for(config, scheme), t_e)
-            return (t_e, scheme) + _point_values(kr)
-
-    elif config.experiment == "distance_sweep":
-        columns = ("distance_km", "t_e", "scheme") + _point_columns()
-        tasks = [(float(d), s) for d in axis for s in schemes]
-
-        def worker(task):
-            d, scheme = task
-            t_e = distance_to_transmissivity(d, config.atten_db_per_km)
-            kr = key_rate(_cfg_for(config, scheme), t_e)
-            return (d, t_e, scheme) + _point_values(kr)
-
-    elif config.experiment in ("noise_grid", "photon_grid"):
-        layer_key = "beta_sq" if config.experiment == "noise_grid" else "alpha_sq"
-        layers = (
-            config.beta_sq_values
-            if config.experiment == "noise_grid"
-            else config.alpha_sq_values
-        )
-        columns = (layer_key, "distance_km", "t_e", "scheme") + _point_columns()
-        tasks = [(float(v), float(d), s) for v in layers for d in axis for s in schemes]
-
-        def worker(task):
-            v, d, scheme = task
-            t_e = distance_to_transmissivity(d, config.atten_db_per_km)
-            kr = key_rate(_cfg_for(config, scheme, **{layer_key: v}), t_e)
-            return (v, d, t_e, scheme) + _point_values(kr)
-
-    else:  # satellite_sweep / satellite_closeup
-        columns = ("sigma_b", "scheme", "k_avg", "k_avg_normalized")
+    if config.experiment.startswith("satellite"):
         tasks = [(float(sb), s) for sb in axis for s in schemes]
 
-        def worker(task):
+        def average(task):
             sigma_b, scheme = task
             model = weibull_params(sigma_b, config.beta_r, config.beam_w)
             avg = average_key_rates(_cfg_for(config, scheme), model, config.quad)
             return (sigma_b, scheme, avg.rate, avg.rate_normalized)
 
-    rows = _map_ordered(worker, tasks, config.threads)
+        rows = _map_ordered(average, tasks, config.threads)
+        columns = ("sigma_b", "scheme", "k_avg", "k_avg_normalized")
+        return SweepResult(metadata=_metadata(config), columns=columns, rows=tuple(rows))
+
+    if config.experiment == "transmissivity_sweep":
+        t_axis = [float(t) for t in axis]
+        points, columns = [(t,) for t in t_axis], ("t_e",)
+    else:
+        t_axis = [distance_to_transmissivity(float(d), config.atten_db_per_km) for d in axis]
+        points, columns = [(float(d), t) for d, t in zip(axis, t_axis)], ("distance_km", "t_e")
+    layers = [{}]
+    if config.experiment in ("noise_grid", "photon_grid"):
+        key, values = (("beta_sq", config.beta_sq_values) if config.experiment == "noise_grid"
+                       else ("alpha_sq", config.alpha_sq_values))
+        layers, columns = [{key: float(v)} for v in values], (key,) + columns
+    columns += ("scheme",) + _point_columns()
+
+    # one array call over the whole axis per (layer, scheme)
+    tasks = [(layer, s) for layer in layers for s in schemes]
+    results = _map_ordered(lambda task: key_rates(_cfg_for(config, task[1], **task[0]), t_axis),
+                           tasks, config.threads)
+    rows = []
+    for n, layer in enumerate(layers):
+        per_scheme = results[n * len(schemes):(n + 1) * len(schemes)]
+        rows += [tuple(layer.values()) + point + (s,) + _point_values(kr.at(j))
+                 for j, point in enumerate(points) for s, kr in zip(schemes, per_scheme)]
     return SweepResult(metadata=_metadata(config), columns=columns, rows=tuple(rows))
 
 

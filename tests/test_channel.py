@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+import cvqkd_ps.channel as channel_mod
 from cvqkd_ps import (
+    KeyRatePoint,
     QuadratureSpec,
     SchemeConfig,
     average_key_rate,
@@ -283,3 +285,99 @@ def test_monte_carlo_agrees_with_quadrature():
 
     quad_val = average_key_rate(cfg, m, QuadratureSpec(400, clamp_negative=True))
     assert abs(mc - quad_val) <= 3 * se
+
+
+# ------------------------------------------------ crossing and node batching
+
+def test_inverse_cdf_on_arrays_matches_scalar_calls():
+    m = weibull_params(1.3)
+    u = np.linspace(0.01, 1.0, 17)
+    assert list(inverse_cdf(m, u)) == [inverse_cdf(m, float(x)) for x in u]
+    with pytest.raises(ValueError):
+        inverse_cdf(m, np.array([0.5, 0.0]))
+
+
+@pytest.mark.parametrize("f,a,b", [
+    (math.cos, 0.0, 2.0),
+    (lambda x: x**3 - 2 * x - 5, 2.0, 3.0),
+    (lambda x: math.exp(x) - 1e-3, -10.0, 1.0),
+    (lambda x: math.tanh(50.0 * (x - 0.3)), 0.0, 1.0),  # flat ends: bisection takes over
+])
+def test_brent_step_matches_scipy(f, a, b):
+    from scipy.optimize import brentq
+
+    steps = []
+    got = channel_mod._brent(lambda x: steps.append(x) or f(x), a, b, f(a), f(b))
+    assert got == pytest.approx(brentq(f, a, b, xtol=1e-14), abs=1e-13)
+    assert len(steps) < channel_mod._ROOT_MAX_STEPS
+
+
+def test_brent_step_on_the_key_rate_crossing():
+    from scipy.optimize import brentq
+
+    cfg = SchemeConfig("rps")
+    f = lambda t: key_rate(cfg, t).rate_raw  # noqa: E731
+    got = channel_mod._brent(f, 0.0, 0.02, f(0.0), f(0.02))
+    assert got == pytest.approx(brentq(f, 0.0, 0.02, xtol=1e-15), abs=1e-14)
+    assert abs(f(got)) < 1e-13
+
+
+def _fake_rates(rate_raw):
+    """A stand-in for key_rates with a chosen rate_raw(T) and p_sub = 1/2."""
+    def fake(cfg, t):
+        t = np.asarray(t, dtype=float)
+        raw = rate_raw(t)
+        zero = np.zeros_like(t)
+        return KeyRatePoint(t, zero, zero, zero + 0.5, raw, 0.5 * raw, raw)
+    return fake
+
+
+def test_two_crossings_use_the_scan_fallback(monkeypatch):
+    # positive below T = 0.2 and above T = 0.5: two crossings, two segments,
+    # one of them starting at u = 0
+    raw = lambda t: (t - 0.2) * (t - 0.5)  # noqa: E731
+    monkeypatch.setattr(channel_mod, "key_rates", _fake_rates(raw))
+    m = weibull_params(0.6)
+    cfg = SchemeConfig("nops")
+    u1, u2 = cdf(m, math.sqrt(0.2)), cdf(m, math.sqrt(0.5))
+    assert 0.0 < u1 < u2 < 1.0
+    (a1, b1), (a2, b2) = channel_mod._positive_region(cfg, m, 101)
+    assert (a1, b2) == (0.0, 1.0)
+    assert b1 == pytest.approx(u1, rel=1e-12) and a2 == pytest.approx(u2, rel=1e-12)
+
+    got = average_key_rates(cfg, m, QuadratureSpec(200))
+    integrand = lambda u: raw(inverse_cdf(m, u) ** 2)  # noqa: E731
+    want = (integrate.quad(integrand, 0.0, u1, epsabs=1e-14, limit=200)[0]
+            + integrate.quad(integrand, u2, 1.0, epsabs=1e-14, limit=200)[0])
+    # 25 of the 200 nodes fall on the short first segment: about 5e-8 off
+    assert got.rate_normalized == pytest.approx(want, rel=1e-6)
+    assert got.rate == pytest.approx(0.5 * want, rel=1e-6)
+
+
+def test_crossing_above_the_aperture_limit_gives_zero():
+    # a small aperture caps T_E at eta0^2 ~ 0.005, below every crossing
+    m = weibull_params(1.0, beta_r=0.05)
+    assert m.eta0**2 < 0.0051
+    for scheme in ("nops", "tps", "rps"):
+        cfg = SchemeConfig(scheme)
+        assert key_rate(cfg, m.eta0**2).rate_raw < 0.0  # T* lies above eta0^2
+        avg = average_key_rates(cfg, m, QuadratureSpec(200))
+        assert (avg.rate, avg.rate_normalized) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("scheme", ["nops", "tps", "rps"])
+@pytest.mark.parametrize("sigma_b", [0.1, 1.0, 20.0])
+def test_default_average_evaluation_count(monkeypatch, scheme, sigma_b):
+    sizes = []
+    real = channel_mod.key_rates
+
+    def counting(cfg, t):
+        sizes.append(len(t))
+        return real(cfg, t)
+
+    monkeypatch.setattr(channel_mod, "key_rates", counting)
+    average_key_rates(SchemeConfig(scheme), weibull_params(sigma_b), QuadratureSpec(200))
+    scan, *root_steps, nodes = sizes
+    assert scan == 101
+    assert 1 <= len(root_steps) <= 12 and set(root_steps) == {1}
+    assert nodes == 200  # one segment, so one array call of the whole budget

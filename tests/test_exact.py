@@ -5,6 +5,7 @@ import dataclasses
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from cvqkd_ps import (
     eve_cov,
     exact_summary,
     key_rate,
+    key_rates,
     symplectic_eigenvalues,
 )
 from cvqkd_ps.cli import main as cli_main
@@ -124,3 +126,58 @@ def test_outputs_physical_and_finite(scheme, alpha_sq, beta_sq, t_s, recon_eff, 
         # both calls holevo_bound makes, without the domain guard firing
         symplectic_eigenvalues(eve_cov(s))
         symplectic_eigenvalues(conditional_cov_ef_given_b2(s))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    scheme=st.sampled_from(("nops", "tps", "rps")),
+    alpha_sq=st.floats(0.0, 20.0),
+    beta_sq=st.floats(0.0, 2.0),
+    t_s=st.floats(0.0, 1.0),
+    t_e=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+)
+def test_array_kernel_matches_single_points(scheme, alpha_sq, beta_sq, t_s, t_e):
+    cfg = SchemeConfig(scheme, alpha_sq=alpha_sq, beta_sq=beta_sq, t_s=t_s)
+    batch = key_rates(cfg, t_e)
+    assert [batch.at(i) for i in range(len(t_e))] == [key_rate(cfg, t) for t in t_e]
+    assert np.all((batch.p_sub >= 0.0) & (batch.p_sub <= 1.0))
+    s = exact_summary(cfg, np.array(t_e))
+    for m in (eve_cov(s), conditional_cov_ef_given_b2(s)):
+        assert np.all(symplectic_eigenvalues(m)[1] >= 1.0)
+
+
+# ------------------------------------------------------------ strong sources
+
+# nops rate_raw at T_E = 0.5 from the closed-form moments and the same bound in
+# 60-digit arithmetic (mpmath)
+_NOPS_STRONG = {1e3: 0.713668163783, 1e5: 0.548413341467, 1e8: 0.299277234794}
+
+
+@pytest.mark.parametrize("alpha_sq", sorted(_NOPS_STRONG))
+def test_strong_source_keeps_its_digits(alpha_sq):
+    got = key_rate(SchemeConfig("nops", alpha_sq=alpha_sq), 0.5).rate_raw
+    assert got == pytest.approx(_NOPS_STRONG[alpha_sq], rel=1e-6)
+
+
+@pytest.mark.parametrize("exponent", range(3, 18))
+def test_strong_source_moments_are_exact(exponent):
+    a2 = 10.0**exponent
+    s = exact_summary(SchemeConfig("nops", alpha_sq=a2), 0.5)
+    v = 1.0 + 2.0 * a2
+    assert s.v_a == pytest.approx(v, rel=1e-12)
+    assert s.v_b2 == pytest.approx(0.5 * v + 0.5 * 1.002, rel=1e-12)
+    assert abs(s.c_ab2) == pytest.approx(math.sqrt(0.5 * (v * v - 1.0)), rel=1e-12)
+
+
+@pytest.mark.parametrize("exponent", range(9, 18))
+def test_too_strong_source_is_rejected_by_name(exponent):
+    with pytest.raises(ValueError, match="alpha_sq"):
+        key_rate(SchemeConfig("nops", alpha_sq=10.0**exponent), 0.5)
+
+
+@pytest.mark.parametrize("scheme", ["tps", "rps"])
+def test_tapped_strong_source_saturates(scheme):
+    # the tap caps the photon number that reaches the bound: V_A stays small
+    rates = [key_rate(SchemeConfig(scheme, alpha_sq=10.0**e), 0.5).rate_raw for e in range(3, 18)]
+    assert all(math.isfinite(r) for r in rates)
+    assert max(rates[7:]) - min(rates[7:]) < 1e-9  # alpha_sq >= 1e10

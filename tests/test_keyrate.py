@@ -14,7 +14,7 @@ from cvqkd_ps import (
     covariance_summary,
     eve_cov,
     key_rate,
-    key_rate_batch,
+    key_rates,
     mutual_information,
     symplectic_eigenvalues,
     von_neumann_g,
@@ -208,9 +208,8 @@ def test_rps_full_tap_transmissivity_limit():
 def test_batch_matches_sequential():
     cfg = SchemeConfig("tps")
     grid = [0.2, 0.5, 0.9]
-    batch = key_rate_batch(cfg, grid)
-    single = [key_rate(cfg, t) for t in grid]
-    assert batch == single
+    batch = key_rates(cfg, grid)
+    assert [batch.at(i) for i in range(len(grid))] == [key_rate(cfg, t) for t in grid]
 
 
 def test_error_paths():
@@ -231,12 +230,16 @@ def test_csv_row():
 
 def test_channel_error_context(monkeypatch):
     def boom(cfg, t_e):
-        raise NumericalDomainError("synthetic failure")
+        exc = NumericalDomainError("synthetic failure")
+        exc.index = 3
+        raise exc
 
-    monkeypatch.setattr(channel_mod, "key_rate", boom)
+    monkeypatch.setattr(channel_mod, "key_rates", boom)
     model = channel_mod.weibull_params(1.0)
     with pytest.raises(NumericalDomainError) as err:
         channel_mod.average_key_rates(
             SchemeConfig("nops"), model, channel_mod.QuadratureSpec(16, False)
         )
     assert "node" in str(err.value)
+    assert "sigma_b=1" in str(err.value)
+    assert "node 3 (T_E=" in str(err.value)

@@ -221,6 +221,18 @@ def test_cli_config_file_and_override(tmp_path):
     assert len(result.rows) == 4  # 2 points x 2 schemes
 
 
+def test_cli_config_file_does_not_leak_into_the_next_call(tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("points = 3\nalpha_sq = 2.0\nscheme = tps\n")
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    cli_main(["transmissivity-sweep", "--config", str(cfg_file), "--out", str(first)])
+    cli_main(["transmissivity-sweep", "--out", str(second)])
+    md = parse_csv(first).metadata
+    assert (md["points"], md["alpha_sq"], md["schemes"]) == ("3", "2", "tps")
+    md = parse_csv(second).metadata
+    assert (md["points"], md["alpha_sq"], md["schemes"]) == ("51", "1.3", "nops,tps,rps")
+
+
 def test_cli_rejects_unknown_config_key(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("no_such_key = 1\n")
