@@ -12,7 +12,8 @@ evaluated with Gauss-Legendre nodes.  Negative key-rate bounds mean "no key",
 so by default they are clamped to zero inside the average (the raw signed
 integral stays available via clamp_negative=False): the key rate depends on
 u only through T_E = eta(u)^2, which rises with u, so its zero crossings are
-located on the T_E axis and mapped to u with the CDF.
+located on the T_E axis and mapped to u with the CDF.  They depend on the
+fading law only through eta0, so the averages of one call share them.
 """
 
 from __future__ import annotations
@@ -28,13 +29,6 @@ from .keyrate import KeyRatePoint, NumericalDomainError, key_rates
 
 _SERIES_MAX_TERMS = 400
 _HANKEL_FROM = 50.0  # the power series below this argument, Hankel's expansion above
-
-
-def _check_bessel_args(order: int, x: float) -> None:
-    if order not in (0, 1):
-        raise ValueError("order must be 0 or 1")
-    if not x >= 0:
-        raise ValueError("x must be >= 0")
 
 
 def _bessel_series(order: int, x: float) -> float:
@@ -66,25 +60,13 @@ def _bessel_hankel_scaled(order: int, x: float) -> float:
     return total / math.sqrt(2.0 * math.pi * x)
 
 
-def bessel_i(order: int, x: float) -> float:
-    """Modified Bessel function of the first kind, orders 0 and 1.
-
-    Power series below x = 50, Hankel's expansion above; inf once the value
-    leaves the float range (x above about 713).
-    """
-    _check_bessel_args(order, x)
-    if x < _HANKEL_FROM:
-        return _bessel_series(order, x)
-    try:
-        return math.exp(x) * _bessel_hankel_scaled(order, x)
-    except OverflowError:
-        return math.inf
-
-
 def bessel_ive(order: int, x: float) -> float:
     """Exponentially scaled Bessel function e^-x I_order(x), orders 0 and 1;
     finite for every x >= 0."""
-    _check_bessel_args(order, x)
+    if order not in (0, 1):
+        raise ValueError("order must be 0 or 1")
+    if not x >= 0:
+        raise ValueError("x must be >= 0")
     if x < _HANKEL_FROM:
         return _bessel_series(order, x) * math.exp(-x)
     return _bessel_hankel_scaled(order, x)
@@ -226,16 +208,17 @@ _ROOT_XTOL = 1e-14
 _ROOT_MAX_STEPS = 100
 
 
-def _rates(cfg: SchemeConfig, model: FadingModel, t, stage: str, u=None) -> KeyRatePoint:
-    """key_rates at the transmissivities t; a NumericalDomainError also names
-    sigma_b and the stage, element, T_E and u where it fired."""
+def _rates(cfg: SchemeConfig, t, stage: str, labels: list, starts: list, u=None) -> KeyRatePoint:
+    """key_rates at t, which holds block labels[k] from starts[k] on; a
+    NumericalDomainError also names the block, stage, element, T_E and u."""
     try:
         return key_rates(cfg, t)
     except NumericalDomainError as exc:
         i = getattr(exc, "index", 0)
+        k = int(np.searchsorted(starts, i, side="right")) - 1
         at = f"T_E={t[i]:.6g}" + ("" if u is None else f", u={u[i]:.6g}")
         raise NumericalDomainError(
-            f"{exc} at sigma_b={model.sigma_b:.6g}, {stage} {i} ({at})") from exc
+            f"{exc} at {labels[k]}, {stage} {i - starts[k]} ({at})") from exc
 
 
 def _brent(f, a: float, b: float, fa: float, fb: float) -> float:
@@ -278,51 +261,70 @@ def _brent(f, a: float, b: float, fa: float, fb: float) -> float:
     return b
 
 
-def _positive_region(cfg: SchemeConfig, model: FadingModel, probes: int) -> list:
-    """u-intervals on which rate_raw > 0 (and so rate, as p_sub >= 0).
-
-    rate_raw depends on u only through T_E = eta(u)^2 in [0, eta0^2], which
-    rises with u: one scan over that range brackets the sign changes, a Brent
-    step refines each, and each crossing T* maps to u* = cdf(sqrt(T*)).
-    """
-    t = np.linspace(0.0, model.eta0**2, probes)
-    f = _rates(cfg, model, t, "scan").rate_raw
-    pos = f > 0.0
+def _crossings(cfg: SchemeConfig, eta0: float, probes: int) -> tuple[bool, list]:
+    """Whether rate_raw > 0 at T_E = 0, and its zero crossings T* in [0, eta0^2]:
+    one scan brackets the sign changes and a Brent step refines each."""
+    t = np.linspace(0.0, eta0**2, probes)
+    where = [f"eta0={eta0:.6g}"]
+    f = _rates(cfg, t, "scan", where, [0]).rate_raw
 
     def root_step(x: float) -> float:
-        return float(_rates(cfg, model, np.array([x]), "root step").rate_raw[0])
+        return float(_rates(cfg, np.array([x]), "root step", where, [0]).rate_raw[0])
 
-    edges = [0.0]
-    for i in np.flatnonzero(pos[1:] != pos[:-1]):
-        t_star = _brent(root_step, t[i], t[i + 1], f[i], f[i + 1])
-        edges.append(cdf(model, math.sqrt(t_star)))
-    edges.append(1.0)
+    pos = f > 0.0
+    return bool(pos[0]), [_brent(root_step, t[i], t[i + 1], f[i], f[i + 1])
+                          for i in np.flatnonzero(pos[1:] != pos[:-1])]
+
+
+def _positive_region(model: FadingModel, starts_positive: bool, crossings: list) -> list:
+    """u-intervals on which rate_raw > 0 (and so rate, as p_sub >= 0); T_E =
+    eta(u)^2 rises with u, so each crossing T* maps to u* = cdf(sqrt(T*))."""
+    edges = [0.0, *(cdf(model, math.sqrt(t_star)) for t_star in crossings), 1.0]
     return [(a, b) for k, (a, b) in enumerate(zip(edges, edges[1:]))
-            if pos[0] == (k % 2 == 0) and b > a]
+            if starts_positive == (k % 2 == 0) and b > a]
 
 
-def average_key_rates(cfg: SchemeConfig, model: FadingModel, quad: QuadratureSpec) -> AveragedKeyRate:
-    """Fading-channel averages of rate and rate_normalized.
+def _nodes(segments: list, node_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on the segments, the node budget split
+    in proportion to their length (at least 16 each)."""
+    total = sum(b - a for a, b in segments)
+    rules = [(a, b - a, *_unit_interval_rule(max(16, round(node_count * (b - a) / total))))
+             for a, b in segments]
+    return (np.concatenate([np.empty(0)] + [a + h * us for a, h, us, _ in rules]),
+            np.concatenate([np.empty(0)] + [h * ws for _, h, _, ws in rules]))
+
+
+def average_key_rates_many(cfg: SchemeConfig, models, quad: QuadratureSpec) -> list:
+    """Fading-channel averages of rate and rate_normalized, one per model.
 
     Unclamped: one Gauss-Legendre rule over u in (0, 1) applied to the signed
     integrand.  Clamped: the integral runs over the located positive region
-    only (exact rewriting of the max(K, 0) integrand), with the node budget
-    split across segments in proportion to their length.  All nodes go
-    through one array call, and the reductions run in fixed node order, so
-    results are bit-reproducible.
+    only (exact rewriting of the max(K, 0) integrand), its crossings found
+    once per distinct eta0; an empty region gives 0.  All nodes go through
+    one array call, and each model's reduction runs in its own fixed node
+    order, so every average is bit-identical to a one-model call.
     """
-    segments = [(0.0, 1.0)]
-    if quad.clamp_negative:
-        segments = _positive_region(cfg, model, max(65, quad.node_count // 2 + 1))
-        if not segments:
-            return AveragedKeyRate(rate=0.0, rate_normalized=0.0)
-    total = sum(b - a for a, b in segments)
-    rules = [(a, b - a, *_unit_interval_rule(max(16, round(quad.node_count * (b - a) / total))))
-             for a, b in segments]
-    u = np.concatenate([a + h * us for a, h, us, _ in rules])
-    w = np.concatenate([h * ws for _, h, _, ws in rules])
-    kr = _rates(cfg, model, inverse_cdf(model, u) ** 2, "node", u)
-    return AveragedKeyRate(rate=float(w @ kr.rate), rate_normalized=float(w @ kr.rate_raw))
+    probes, crossings, rules, starts = max(65, quad.node_count // 2 + 1), {}, [], [0]
+    for model in models:
+        segments = [(0.0, 1.0)]
+        if quad.clamp_negative:
+            if model.eta0 not in crossings:
+                crossings[model.eta0] = _crossings(cfg, model.eta0, probes)
+            segments = _positive_region(model, *crossings[model.eta0])
+        rules.append(_nodes(segments, quad.node_count))
+        starts.append(starts[-1] + len(rules[-1][0]))  # where each model's nodes begin
+    if starts[-1] == 0:
+        return [AveragedKeyRate(0.0, 0.0) for _ in rules]
+    u = np.concatenate([us for us, _ in rules])
+    t = np.concatenate([inverse_cdf(m, us) ** 2 for m, (us, _) in zip(models, rules)])
+    kr = _rates(cfg, t, "node", [f"sigma_b={m.sigma_b:.6g}" for m in models], starts, u)
+    return [AveragedKeyRate(float(w @ kr.rate[a:b]), float(w @ kr.rate_raw[a:b]))
+            for (_, w), a, b in zip(rules, starts, starts[1:])]
+
+
+def average_key_rates(cfg: SchemeConfig, model: FadingModel, quad: QuadratureSpec) -> AveragedKeyRate:
+    """The one-model view of average_key_rates_many."""
+    return average_key_rates_many(cfg, [model], quad)[0]
 
 
 def average_key_rate(cfg: SchemeConfig, model: FadingModel, quad: QuadratureSpec) -> float:

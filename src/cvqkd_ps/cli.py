@@ -91,7 +91,7 @@ def _add_common(p: argparse.ArgumentParser, command: str) -> None:
     p.add_argument("--points", type=int, default=points, help="axis point count")
     p.add_argument("--log-axis", action="store_true", default=False,
                    help="space axis points geometrically")
-    p.add_argument("--threads", type=int, default=1, help="worker threads over grid points")
+    p.add_argument("--threads", type=int, default=1, help="accepted (>= 1); has no effect")
     p.add_argument("--out", type=str, default=f"{exp}.csv", help="output CSV path")
     p.add_argument("--config", type=str, default=None,
                    help="plain-text config file (key = value); flags override")

@@ -5,15 +5,15 @@ channel transmissivity and against distance on a fixed-attenuation link,
 distance grids layered over noise (beta^2) or source strength (alpha^2), and
 fading-channel averages against the beam-wander spread sigma_b (full range
 and close-up).  Each fixed-link scheme and layer is one array call over the
-axis, each fading average one task; tasks are independent, so they can be
-dispatched to a thread pool, and rows are always assembled in grid order,
-making the emitted CSV byte-identical for any worker count.
+axis, and the fading averages of each scheme one call over all sigma_b (which
+finds the scheme's zero crossings once).  Rows are assembled in grid order,
+so the emitted CSV is byte-identical for a fixed configuration.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .channel import (
     QuadratureSpec,
-    average_key_rates,
+    average_key_rates_many,
     distance_to_transmissivity,
     weibull_params,
 )
@@ -47,13 +47,15 @@ DEFAULT_AXES = {
     "satellite_sweep": (0.1, 20.0, 40),
     "satellite_closeup": (0.05, 1.0, 20),
 }
+_DISTANCE_EXPERIMENTS = ("distance_sweep", "noise_grid", "photon_grid")
+_NODES_PER_CALL = 65536  # fading nodes per array call, each about 0.7 kB at its peak
 DEFAULT_BETA_SQ_VALUES = (0.0001, 0.001, 0.01, 0.05, 0.1)
 DEFAULT_ALPHA_SQ_VALUES = (0.5, 1.0, 1.3, 2.0, 3.0)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One sweep: experiment kind, schemes, base parameters, axis, channel."""
+    """One sweep: experiment kind, schemes, base parameters, axis, channel (threads: no effect)."""
 
     experiment: str
     schemes: tuple = ("nops", "tps", "rps")
@@ -82,12 +84,27 @@ class ExperimentConfig:
             raise ValueError("points must be >= 1")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        start, stop, _ = self._bounds()
+        for flag, value in (("--start", start), ("--stop", stop)):
+            if not math.isfinite(value):
+                raise ValueError(f"{flag} must be finite, got {value:g}")
+            if self.experiment == "transmissivity_sweep" and not 0.0 <= value <= 1.0:
+                raise ValueError(f"{flag} is a transmissivity outside [0, 1], got {value:g}")
+            if self.experiment in _DISTANCE_EXPERIMENTS and value < 0.0:
+                raise ValueError(f"{flag} is a distance and must be >= 0, got {value:g}")
+            if self.experiment.startswith("satellite") and value <= 0.0:
+                raise ValueError(f"{flag} is sigma_b and must be > 0, got {value:g}")
+        if not (math.isfinite(self.atten_db_per_km) and self.atten_db_per_km >= 0.0):
+            raise ValueError("--atten-db-per-km must be finite and >= 0, "
+                             f"got {self.atten_db_per_km:g}")
+
+    def _bounds(self) -> tuple:
+        """(start, stop, points), the experiment's defaults filling the gaps."""
+        return tuple(default if value is None else value for value, default in
+                     zip((self.start, self.stop, self.points), DEFAULT_AXES[self.experiment]))
 
     def axis(self) -> np.ndarray:
-        start, stop, points = DEFAULT_AXES[self.experiment]
-        start = self.start if self.start is not None else start
-        stop = self.stop if self.stop is not None else stop
-        points = self.points if self.points is not None else points
+        start, stop, points = self._bounds()
         if points == 1:
             return np.array([float(stop)])
         if self.log_axis:
@@ -126,7 +143,7 @@ def _metadata(config: ExperimentConfig) -> dict:
         "log_axis": config.log_axis,
         "version": __version__,
     }
-    if config.experiment in ("distance_sweep", "noise_grid", "photon_grid"):
+    if config.experiment in _DISTANCE_EXPERIMENTS:
         md["atten_db_per_km"] = config.atten_db_per_km
     if config.experiment == "noise_grid":
         md["beta_sq_values"] = ",".join(f"{v:.12g}" for v in config.beta_sq_values)
@@ -140,36 +157,19 @@ def _metadata(config: ExperimentConfig) -> dict:
     return md
 
 
-def _point_columns() -> tuple:
-    return KeyRatePoint.CSV_COLUMNS[1:]  # t_e emitted as its own axis column
-
-
-def _point_values(kr: KeyRatePoint) -> tuple:
-    return (kr.i_g, kr.chi_g, kr.p_sub, kr.rate_raw, kr.rate, kr.rate_normalized)
-
-
-def _map_ordered(worker, tasks, threads: int) -> list:
-    if threads <= 1:
-        return [worker(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, tasks))
-
-
 def run_experiment(config: ExperimentConfig) -> SweepResult:
     """Evaluate the requested grid; deterministic for a fixed config."""
     axis = config.axis()
     schemes = tuple(config.schemes)
 
     if config.experiment.startswith("satellite"):
-        tasks = [(float(sb), s) for sb in axis for s in schemes]
-
-        def average(task):
-            sigma_b, scheme = task
-            model = weibull_params(sigma_b, config.beta_r, config.beam_w)
-            avg = average_key_rates(_cfg_for(config, scheme), model, config.quad)
-            return (sigma_b, scheme, avg.rate, avg.rate_normalized)
-
-        rows = _map_ordered(average, tasks, config.threads)
+        models = [weibull_params(float(sb), config.beta_r, config.beam_w) for sb in axis]
+        n = max(1, _NODES_PER_CALL // config.quad.node_count)  # models per call
+        averages = [[avg for i in range(0, len(models), n) for avg in
+                     average_key_rates_many(_cfg_for(config, s), models[i:i + n], config.quad)]
+                    for s in schemes]
+        rows = [(m.sigma_b, s, per_scheme[i].rate, per_scheme[i].rate_normalized)
+                for i, m in enumerate(models) for s, per_scheme in zip(schemes, averages)]
         columns = ("sigma_b", "scheme", "k_avg", "k_avg_normalized")
         return SweepResult(metadata=_metadata(config), columns=columns, rows=tuple(rows))
 
@@ -184,16 +184,14 @@ def run_experiment(config: ExperimentConfig) -> SweepResult:
         key, values = (("beta_sq", config.beta_sq_values) if config.experiment == "noise_grid"
                        else ("alpha_sq", config.alpha_sq_values))
         layers, columns = [{key: float(v)} for v in values], (key,) + columns
-    columns += ("scheme",) + _point_columns()
+    fields = KeyRatePoint.CSV_COLUMNS[1:]  # t_e is its own axis column
+    columns += ("scheme",) + fields
 
-    # one array call over the whole axis per (layer, scheme)
-    tasks = [(layer, s) for layer in layers for s in schemes]
-    results = _map_ordered(lambda task: key_rates(_cfg_for(config, task[1], **task[0]), t_axis),
-                           tasks, config.threads)
     rows = []
-    for n, layer in enumerate(layers):
-        per_scheme = results[n * len(schemes):(n + 1) * len(schemes)]
-        rows += [tuple(layer.values()) + point + (s,) + _point_values(kr.at(j))
+    for layer in layers:
+        per_scheme = [key_rates(_cfg_for(config, s, **layer), t_axis) for s in schemes]
+        rows += [tuple(layer.values()) + point + (s,)
+                 + tuple(float(getattr(kr, c)[j]) for c in fields)
                  for j, point in enumerate(points) for s, kr in zip(schemes, per_scheme)]
     return SweepResult(metadata=_metadata(config), columns=columns, rows=tuple(rows))
 

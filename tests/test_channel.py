@@ -2,16 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
 import cvqkd_ps.channel as channel_mod
 from cvqkd_ps import (
     KeyRatePoint,
+    NumericalDomainError,
     QuadratureSpec,
     SchemeConfig,
     average_key_rate,
     average_key_rates,
-    bessel_i,
+    average_key_rates_many,
     bessel_ive,
     cdf,
     distance_to_transmissivity,
@@ -21,41 +24,45 @@ from cvqkd_ps import (
     pdf,
     weibull_params,
 )
+from cvqkd_ps.cli import main as cli_main
 
 # frozen from an independent high-precision evaluation (scipy Bessel chain)
 ETA0_H1 = 0.9298734950321937
 LAMBDA_H1 = 2.312896075706477
 L_H1 = 1.1136114660787633
+EPS = np.finfo(float).eps
 
 
 # -------------------------------------------------------------------- bessel
+# bessel_ive is the only Bessel function; these cover x = 0, the reference
+# values and scipy agreement from 0 up to 5000.
 
 def test_bessel_at_zero():
-    assert bessel_i(0, 0.0) == 1.0
-    assert bessel_i(1, 0.0) == 0.0
+    assert bessel_ive(0, 0.0) == 1.0
+    assert bessel_ive(1, 0.0) == 0.0
 
 
 def test_bessel_reference_values():
-    assert bessel_i(0, 4.0) == pytest.approx(11.30192195213633, rel=1e-12)
-    assert bessel_i(1, 4.0) == pytest.approx(9.759465153704449, rel=1e-12)
+    # I0(4) = 11.30192195213633, I1(4) = 9.759465153704449
+    assert bessel_ive(0, 4.0) == pytest.approx(11.30192195213633 * math.exp(-4.0), rel=1e-12)
+    assert bessel_ive(1, 4.0) == pytest.approx(9.759465153704449 * math.exp(-4.0), rel=1e-12)
 
 
 @pytest.mark.parametrize("order", [0, 1])
 def test_bessel_against_scipy(order):
     for x in np.linspace(0.0, 50.0, 101):
-        assert bessel_i(order, float(x)) == pytest.approx(
-            float(special.iv(order, x)), rel=1e-12
+        assert bessel_ive(order, float(x)) == pytest.approx(
+            float(special.ive(order, x)), rel=1e-12
         )
 
 
 def test_bessel_errors():
-    for fn in (bessel_i, bessel_ive):
-        with pytest.raises(ValueError):
-            fn(2, 1.0)
-        with pytest.raises(ValueError):
-            fn(0, -1.0)
-        with pytest.raises(ValueError):
-            fn(0, math.nan)
+    with pytest.raises(ValueError):
+        bessel_ive(2, 1.0)
+    with pytest.raises(ValueError):
+        bessel_ive(0, -1.0)
+    with pytest.raises(ValueError):
+        bessel_ive(0, math.nan)
 
 
 @pytest.mark.parametrize("order", [0, 1])
@@ -71,10 +78,11 @@ def test_scaled_bessel_against_scipy(order):
 @pytest.mark.parametrize("order", [0, 1])
 def test_bessel_large_arguments(order):
     for x in np.linspace(50.0, 700.0, 66):
-        assert bessel_i(order, float(x)) == pytest.approx(
-            float(special.iv(order, x)), rel=1e-12
+        assert bessel_ive(order, float(x)) == pytest.approx(
+            float(special.ive(order, x)), rel=1e-12
         )
-    assert bessel_i(order, 800.0) == math.inf
+    # finite where I(x) itself leaves the float range
+    assert bessel_ive(order, 800.0) == pytest.approx(float(special.ive(order, 800.0)), rel=1e-12)
 
 
 # ----------------------------------------------------------------- parameters
@@ -160,10 +168,42 @@ def test_pdf_normalizes(sigma_b, t_cap):
     assert _pdf_mass(m, t_cap) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("beta_r", [14.0, 30.0])
+def test_pdf_carries_the_cdf_mass_at_wide_apertures(beta_r):
+    """At beta_r >= 14 the shape lambda is 32-69, so the law spreads over
+    hundreds of e-folds of t = 2 ln(eta0/eta), while a double resolves eta
+    only for t in about [1e-15, 1400]: for no sigma_b does that window hold
+    more than about 70% of the mass, so _pdf_mass cannot reach 1 here.  The
+    pdf must instead carry exactly the CDF's mass over t in [1e-4, 1400]
+    (integrated in ln t, where the spread is mild)."""
+    m = weibull_params(beta_r, beta_r=beta_r)  # wander as wide as the aperture
+    eta = lambda s: m.eta0 * math.exp(-math.exp(s) / 2)  # noqa: E731
+    f = lambda s: pdf(m, eta(s)) * eta(s) * math.exp(s) / 2  # noqa: E731
+    lo, hi = math.log(1e-4), math.log(1400.0)
+    total, _ = integrate.quad(f, lo, hi, limit=500, epsabs=1e-14, epsrel=1e-13)
+    want = cdf(m, eta(lo)) - cdf(m, eta(hi))
+    assert want > 0.1
+    assert total == pytest.approx(want, abs=1e-12)
+
+
 def test_cdf_round_trip():
     m = weibull_params(1.0)
     for u in np.linspace(0.01, 1.0, 25):
         assert cdf(m, inverse_cdf(m, float(u))) == pytest.approx(float(u), abs=1e-10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(beta_r=st.floats(0.05, 30.0), w=st.floats(0.3, 5.0), sigma_b=st.floats(0.01, 20.0),
+       u=st.floats(1e-6, 1.0))
+def test_cdf_round_trip_over_beam_geometries(beta_r, w, sigma_b, u):
+    m = weibull_params(sigma_b, beta_r=beta_r, w=w)
+    eta = float(inverse_cdf(m, u))
+    # eta underflows (or is subnormal) deep in the fade and rounds to eta0
+    # where the law crowds into the last few ulps below it
+    assume(np.finfo(float).tiny <= eta < m.eta0)
+    # u comes back only as well as the last digits of eta pin it down
+    spread = cdf(m, eta * (1 + 4 * EPS)) - cdf(m, eta * (1 - 4 * EPS))
+    assert abs(cdf(m, eta) - u) <= 1e-12 + spread
 
 
 def test_inverse_cdf_values():
@@ -341,7 +381,8 @@ def test_two_crossings_use_the_scan_fallback(monkeypatch):
     cfg = SchemeConfig("nops")
     u1, u2 = cdf(m, math.sqrt(0.2)), cdf(m, math.sqrt(0.5))
     assert 0.0 < u1 < u2 < 1.0
-    (a1, b1), (a2, b2) = channel_mod._positive_region(cfg, m, 101)
+    crossings = channel_mod._crossings(cfg, m.eta0, 101)
+    (a1, b1), (a2, b2) = channel_mod._positive_region(m, *crossings)
     assert (a1, b2) == (0.0, 1.0)
     assert b1 == pytest.approx(u1, rel=1e-12) and a2 == pytest.approx(u2, rel=1e-12)
 
@@ -381,3 +422,67 @@ def test_default_average_evaluation_count(monkeypatch, scheme, sigma_b):
     assert scan == 101
     assert 1 <= len(root_steps) <= 12 and set(root_steps) == {1}
     assert nodes == 200  # one segment, so one array call of the whole budget
+
+
+# ------------------------------------------------- many models in one call
+
+def _models():
+    # two geometries and a small aperture whose crossings lie above eta0^2
+    return ([weibull_params(sb) for sb in (0.1, 0.5, 1.0, 5.0, 20.0)]
+            + [weibull_params(sb, beta_r=3.0) for sb in (0.3, 2.0, 8.0)]
+            + [weibull_params(1.0, beta_r=0.05)])
+
+
+@pytest.mark.parametrize("clamp", [True, False])
+@pytest.mark.parametrize("scheme", ["nops", "tps", "rps"])
+def test_many_models_equal_one_model_calls(scheme, clamp):
+    cfg, quad, models = SchemeConfig(scheme), QuadratureSpec(200, clamp), _models()
+    many = average_key_rates_many(cfg, models, quad)
+    assert many == [average_key_rates(cfg, m, quad) for m in models]
+    if clamp:
+        assert (many[-1].rate, many[-1].rate_normalized) == (0.0, 0.0)
+        assert all(avg.rate > 0.0 for avg in many[:-1])
+
+
+def test_no_models_and_all_empty_regions():
+    cfg, quad = SchemeConfig("nops"), QuadratureSpec(200)
+    assert average_key_rates_many(cfg, [], quad) == []
+    small = [weibull_params(sb, beta_r=0.05) for sb in (0.5, 1.0)]
+    zero = channel_mod.AveragedKeyRate(0.0, 0.0)
+    assert average_key_rates_many(cfg, small, quad) == [zero, zero]
+
+
+def test_default_satellite_sweep_finds_each_crossing_once(monkeypatch, tmp_path):
+    calls = []
+    real = channel_mod.key_rates
+
+    def counting(cfg, t):
+        calls.append((cfg.scheme, len(t)))
+        return real(cfg, t)
+
+    monkeypatch.setattr(channel_mod, "key_rates", counting)
+    cli_main(["satellite-sweep", "--out", str(tmp_path / "sat.csv")])
+    for scheme in ("nops", "tps", "rps"):
+        sizes = [n for s, n in calls if s == scheme]
+        scan, *root_steps, nodes = sizes
+        assert scan == 101  # one scan for all 40 sigma_b
+        assert 1 <= len(root_steps) <= 12 and set(root_steps) == {1}
+        assert nodes == 40 * 200  # one node call for all 40 averages
+
+
+def test_error_names_the_model_of_the_failing_node(monkeypatch):
+    def boom(cfg, t_e):
+        exc = NumericalDomainError("synthetic failure")
+        exc.index = 16 + 3  # node 3 of the second model
+        raise exc
+
+    monkeypatch.setattr(channel_mod, "key_rates", boom)
+    models = [weibull_params(1.0), weibull_params(2.5)]
+    with pytest.raises(NumericalDomainError) as err:
+        average_key_rates_many(SchemeConfig("nops"), models, QuadratureSpec(16, False))
+    assert "sigma_b=2.5, node 3 (T_E=" in str(err.value)
+
+    # the crossing search is shared by every sigma_b, so it names eta0
+    with pytest.raises(NumericalDomainError) as err:
+        average_key_rates_many(SchemeConfig("nops"), models, QuadratureSpec(16))
+    assert f"eta0={models[0].eta0:.6g}, scan 19 (T_E=" in str(err.value)

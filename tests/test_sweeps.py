@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import cvqkd_ps.sweeps as sweeps_mod
 from cvqkd_ps import (
     ExperimentConfig,
     QuadratureSpec,
@@ -238,3 +239,34 @@ def test_cli_rejects_unknown_config_key(tmp_path):
     bad.write_text("no_such_key = 1\n")
     with pytest.raises(ValueError):
         cli_main(["transmissivity-sweep", "--config", str(bad)])
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["transmissivity-sweep", "--start", "nan"], "--start must be finite, got nan"),
+    (["transmissivity-sweep", "--stop", "inf"], "--stop must be finite, got inf"),
+    (["transmissivity-sweep", "--stop", "2"],
+     "--stop is a transmissivity outside [0, 1], got 2"),
+    (["transmissivity-sweep", "--start", "-0.1"],
+     "--start is a transmissivity outside [0, 1], got -0.1"),
+    (["distance-sweep", "--start", "-5"], "--start is a distance and must be >= 0, got -5"),
+    (["noise-grid", "--stop", "-1"], "--stop is a distance and must be >= 0, got -1"),
+    (["distance-sweep", "--atten-db-per-km", "nan"],
+     "--atten-db-per-km must be finite and >= 0, got nan"),
+    (["photon-grid", "--atten-db-per-km", "-0.2"],
+     "--atten-db-per-km must be finite and >= 0, got -0.2"),
+    (["satellite-sweep", "--start", "0"], "--start is sigma_b and must be > 0, got 0"),
+    (["satellite-closeup", "--stop", "-1"], "--stop is sigma_b and must be > 0, got -1"),
+])
+def test_cli_rejects_an_invalid_axis_by_flag(tmp_path, argv, message):
+    out = tmp_path / "out.csv"
+    with pytest.raises(ValueError) as err:
+        cli_main(argv + ["--out", str(out)])
+    assert str(err.value) == message
+    assert not out.exists()
+
+
+def test_satellite_rows_do_not_depend_on_the_node_call_size(monkeypatch):
+    config = small_config("satellite_sweep", points=7)
+    whole = run_experiment(config).rows
+    monkeypatch.setattr(sweeps_mod, "_NODES_PER_CALL", 3 * 24)  # 3 models per call
+    assert run_experiment(config).rows == whole
