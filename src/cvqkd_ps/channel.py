@@ -12,8 +12,9 @@ evaluated with Gauss-Legendre nodes.  Negative key-rate bounds mean "no key",
 so by default they are clamped to zero inside the average (the raw signed
 integral stays available via clamp_negative=False): the key rate depends on
 u only through T_E = eta(u)^2, which rises with u, so its zero crossings are
-located on the T_E axis and mapped to u with the CDF.  They depend on the
-fading law only through eta0, so the averages of one call share them.
+found in eta = sqrt(T_E) by a scan and stacked Chebyshev interpolants, then
+mapped to u with the CDF; they depend on the law only through eta0, so the
+averages of one call share them.
 """
 
 from __future__ import annotations
@@ -129,29 +130,31 @@ def weibull_params(sigma_b: float, beta_r: float = 1.0, w: float = 1.0) -> Fadin
     )
 
 
-def pdf(model: FadingModel, eta: float) -> float:
-    """Fading density at transmission coefficient eta (0 outside (0, eta0))."""
-    if eta <= 0.0 or eta >= model.eta0:
-        return 0.0
-    y = 2.0 * math.log(model.eta0 / eta)
-    a = model.l_scale**2 / (2.0 * model.sigma_b**2)
-    p = 2.0 / model.lambda_shape
-    return (
-        (2.0 * model.l_scale**2) / (model.sigma_b**2 * model.lambda_shape * eta)
-        * y ** (p - 1.0)
-        * math.exp(-a * y**p)
-    )
+def _log_laws(model: FadingModel, eta):
+    """eta as an array, where it lies in (0, eta0) or is NaN, and there ln cdf
+    and ln pdf, with y = 2 (ln eta0 - ln eta) (finite at subnormal eta)."""
+    eta = np.asarray(eta, dtype=float)
+    inside = ~((eta <= 0.0) | (eta >= model.eta0))
+    ln_eta = np.log(np.where(inside, eta, model.eta0 / 2.0))
+    y, p = 2.0 * (math.log(model.eta0) - ln_eta), 2.0 / model.lambda_shape
+    log_cdf = -model.l_scale**2 / (2.0 * model.sigma_b**2) * y**p
+    return eta, inside, log_cdf, log_cdf + (p - 1.0) * np.log(y) - ln_eta + math.log(
+        2.0 * model.l_scale**2 / (model.sigma_b**2 * model.lambda_shape))
 
 
-def cdf(model: FadingModel, eta: float) -> float:
+def pdf(model: FadingModel, eta):
+    """Fading density d cdf/d eta = cdf 2 L^2 y^(2/lambda - 1) / (sigma_b^2
+    lambda eta) on (0, eta0), else 0; in log space, so 0 where it underflows
+    and inf where it exceeds the float range (as eta -> 0 once lambda > 2)."""
+    _, inside, _, log_pdf = _log_laws(model, eta)
+    with np.errstate(over="ignore"):
+        return np.where(inside, np.exp(log_pdf), 0.0)[()]
+
+
+def cdf(model: FadingModel, eta):
     """P(transmission coefficient <= eta); exp(-a (2 ln(eta0/eta))^(2/lambda))."""
-    if eta <= 0.0:
-        return 0.0
-    if eta >= model.eta0:
-        return 1.0
-    y = 2.0 * math.log(model.eta0 / eta)
-    a = model.l_scale**2 / (2.0 * model.sigma_b**2)
-    return math.exp(-a * y ** (2.0 / model.lambda_shape))
+    eta, inside, log_cdf, _ = _log_laws(model, eta)
+    return np.where(inside, np.exp(log_cdf), np.where(eta >= model.eta0, 1.0, 0.0))[()]
 
 
 def inverse_cdf(model: FadingModel, u):
@@ -206,6 +209,7 @@ def _unit_interval_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 _ROOT_XTOL = 1e-14
 _ROOT_MAX_STEPS = 100
+_ROOT_TTOL, _REFINE_ROUNDS = 1e-12, 4  # the refine's error bound on T* and its round cap
 
 
 def _rates(cfg: SchemeConfig, t, stage: str, labels: list, starts: list, u=None) -> KeyRatePoint:
@@ -261,25 +265,60 @@ def _brent(f, a: float, b: float, fa: float, fb: float) -> float:
     return b
 
 
+def _clenshaw(c: list, x: float) -> float:
+    """sum_j c[j] T_j(x) by Clenshaw's recurrence."""
+    b1 = b2 = 0.0
+    for ck in c[:0:-1]:
+        b1, b2 = 2.0 * x * b1 - b2 + ck, b1
+    return x * b1 - b2 + c[0]
+
+
+@lru_cache(maxsize=1)
+def _lobatto() -> tuple[np.ndarray, np.ndarray]:
+    """17 Chebyshev-Lobatto points s_j = -cos(pi j/16) on [-1, 1] and the map from
+    samples there to the Chebyshev coefficients of their interpolant (rows 0-16), of
+    the degree-8 one through every other point and of the slope (column k of d: T_k')."""
+    j, k = np.indices((17, 17))
+    v = (-1.0) ** k * np.cos(np.pi * j * k / 16)  # T_k(s_j)
+    d = np.triu((1.0 - (-1.0) ** (k - j)) * k, 1) * np.where(j > 0, 1.0, 0.5)
+    return -np.cos(np.pi * k[0] / 16), np.vstack([
+        np.linalg.inv(v), np.linalg.inv(v[::2, :9]) @ np.eye(17)[::2], d @ np.linalg.inv(v)])
+
+
 def _crossings(cfg: SchemeConfig, eta0: float, probes: int) -> tuple[bool, list]:
-    """Whether rate_raw > 0 at T_E = 0, and its zero crossings T* in [0, eta0^2]:
-    one scan brackets the sign changes and a Brent step refines each."""
-    t = np.linspace(0.0, eta0**2, probes)
-    where = [f"eta0={eta0:.6g}"]
-    f = _rates(cfg, t, "scan", where, [0]).rate_raw
-
-    def root_step(x: float) -> float:
-        return float(_rates(cfg, np.array([x]), "root step", where, [0]).rate_raw[0])
-
-    pos = f > 0.0
-    return bool(pos[0]), [_brent(root_step, t[i], t[i + 1], f[i], f[i + 1])
-                          for i in np.flatnonzero(pos[1:] != pos[:-1])]
+    """Whether rate_raw > 0 at T_E = 0, and its zero crossings T* in [0, eta0^2]: a
+    scan evenly spaced in eta = sqrt(T_E), where rate_raw is analytic, brackets them.
+    Each round samples Lobatto points in all open brackets in one call; a bracket whose
+    interpolant's root the degree-8 one moves by over _ROOT_TTOL narrows to a sign change."""
+    where, eta = [f"eta0={eta0:.6g}"], np.linspace(0.0, eta0, probes)
+    f = _rates(cfg, eta**2, "scan", where, [0]).rate_raw
+    nodes, fit = _lobatto()
+    todo = {k: (eta[i:i + 2], f[i:i + 2]) for k, i in enumerate(np.flatnonzero(np.diff(f > 0.0)))}
+    roots, round_ = [0.0] * len(todo), 0
+    while todo:
+        round_ += 1
+        ends, f_ends = map(np.array, zip(*todo.values()))
+        x = ends @ np.array([(1.0 - nodes) / 2.0, (1.0 + nodes) / 2.0])
+        inner = _rates(cfg, (x[:, 1:-1] ** 2).ravel(), "refine", where, [0]).rate_raw
+        y = np.column_stack([f_ends[:, 0], inner.reshape(len(x), -1), f_ends[:, 1]])
+        for k, xs, ys, c in zip(list(todo), x, y, (y @ fit.T).tolist()):
+            s = _brent(lambda z: _clenshaw(c[:17], z), -1.0, 1.0, ys[0], ys[-1])
+            root = xs[0] + (xs[-1] - xs[0]) * (1.0 + s) / 2.0
+            roots[k] = root**2  # off by about 2 root d(eta), d(eta) = |p8| / |d p16/d eta|
+            off = root * (xs[-1] - xs[0]) * abs(_clenshaw(c[17:26], s))
+            if off <= _ROOT_TTOL * abs(_clenshaw(c[26:], s)) or round_ == _REFINE_ROUNDS:
+                del todo[k]
+                continue
+            cells = np.flatnonzero(np.diff(ys > 0.0))
+            j = cells[np.argmin(abs(nodes[cells] + nodes[cells + 1] - 2.0 * s))]
+            todo[k] = (xs[j:j + 2], ys[j:j + 2])
+    return bool(f[0] > 0.0), roots
 
 
 def _positive_region(model: FadingModel, starts_positive: bool, crossings: list) -> list:
     """u-intervals on which rate_raw > 0 (and so rate, as p_sub >= 0); T_E =
     eta(u)^2 rises with u, so each crossing T* maps to u* = cdf(sqrt(T*))."""
-    edges = [0.0, *(cdf(model, math.sqrt(t_star)) for t_star in crossings), 1.0]
+    edges = [0.0, *cdf(model, np.sqrt(crossings)), 1.0]
     return [(a, b) for k, (a, b) in enumerate(zip(edges, edges[1:]))
             if starts_positive == (k % 2 == 0) and b > a]
 

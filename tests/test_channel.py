@@ -1,3 +1,5 @@
+import decimal
+import itertools
 import math
 
 import numpy as np
@@ -20,6 +22,7 @@ from cvqkd_ps import (
     distance_to_transmissivity,
     inverse_cdf,
     key_rate,
+    key_rates,
     mean_transmissivity,
     pdf,
     weibull_params,
@@ -184,6 +187,53 @@ def test_pdf_carries_the_cdf_mass_at_wide_apertures(beta_r):
     want = cdf(m, eta(lo)) - cdf(m, eta(hi))
     assert want > 0.1
     assert total == pytest.approx(want, abs=1e-12)
+
+
+def _pdf_cdf_reference(m, eta):
+    """The density and CDF at eta in (0, eta0), straight from their formulas
+    in 40-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        eta0, l2, s2, lam, e = (decimal.Decimal(v) for v in (
+            m.eta0, m.l_scale**2, m.sigma_b**2, m.lambda_shape, eta))
+        y, a, p = 2 * (eta0 / e).ln(), l2 / (2 * s2), 2 / lam
+        cdf_value = (-a * y**p).exp()
+        return float(2 * l2 / (s2 * lam * e) * y ** (p - 1) * cdf_value), float(cdf_value)
+
+
+@pytest.mark.parametrize("sigma_b,beta_r", [(0.1, 1.0), (1.0, 1.0), (5.0, 1.0),
+                                            (20.0, 1.0), (1.0, 0.05), (2.0, 3.0)])
+def test_pdf_and_cdf_match_their_formulas_at_normal_eta(sigma_b, beta_r):
+    # evaluated in log space; the double formula with ln(eta0/eta) was off by
+    # up to 8e-10 close to eta0 (beta_r = 3), so the reference is 40-digit
+    m = weibull_params(sigma_b, beta_r=beta_r)
+    for u in np.linspace(0.01, 0.99, 50):
+        eta = float(inverse_cdf(m, u))
+        if np.finfo(float).tiny <= eta < m.eta0:
+            got = pdf(m, eta), cdf(m, eta)
+            assert got == pytest.approx(_pdf_cdf_reference(m, eta), rel=1e-12)
+
+
+@pytest.mark.parametrize("eta", [1e-310, 5e-324])
+def test_pdf_and_cdf_at_subnormal_eta_are_never_nan(eta):
+    # the density underflows to 0 for mild wander and diverges as eta -> 0
+    # once lambda > 2 (sigma_b = 1: about e^380 at eta = 1e-310)
+    assert pdf(weibull_params(0.1), eta) == 0.0
+    mild, strong = weibull_params(1.0), weibull_params(10.0)
+    for m in (mild, strong):
+        assert pdf(m, eta) > 0.0 and not math.isnan(cdf(m, eta))
+        assert 0.0 <= cdf(m, eta) < cdf(m, 1e-300)
+    assert math.isfinite(pdf(mild, eta))
+    assert math.isnan(pdf(mild, math.nan)) and math.isnan(cdf(mild, math.nan))
+
+
+def test_pdf_and_cdf_on_arrays_match_scalar_calls():
+    m = weibull_params(1.3)
+    eta = np.concatenate([[-0.1, 0.0, 5e-324, 1e-310, m.eta0, 1.5],
+                          inverse_cdf(m, np.linspace(0.01, 1.0, 17))])
+    for fn in (pdf, cdf):
+        assert list(fn(m, eta)) == [fn(m, float(x)) for x in eta]
+        assert isinstance(fn(m, 0.5), float)
 
 
 def test_cdf_round_trip():
@@ -362,6 +412,48 @@ def test_brent_step_on_the_key_rate_crossing():
     assert abs(f(got)) < 1e-13
 
 
+def _scan_and_brent(cfg, eta0, probes=101):
+    """The crossings by a scan in T_E and a Brent step on key_rate in each
+    bracket: the oracle of the stacked refine."""
+    t = np.linspace(0.0, eta0**2, probes)
+    f = key_rates(cfg, t).rate_raw
+    g = lambda x: key_rate(cfg, x).rate_raw  # noqa: E731
+    pos = f > 0.0
+    return bool(pos[0]), [channel_mod._brent(g, t[i], t[i + 1], f[i], f[i + 1])
+                          for i in np.flatnonzero(pos[1:] != pos[:-1])]
+
+
+def test_refine_matches_scan_and_brent_over_a_config_grid():
+    seen = 0
+    for scheme, alpha_sq, beta_sq, t_s, beta_r in itertools.product(
+            ("nops", "tps", "rps"), (0.1, 0.5, 1.3, 3.0, 30.0),
+            (0.0, 1e-6, 1e-5, 1e-4, 1e-3, 0.01, 0.1), (0.5, 0.9, 0.99), (1.0, 3.0, 0.5)):
+        cfg = SchemeConfig(scheme, alpha_sq=alpha_sq, beta_sq=beta_sq, t_s=t_s)
+        eta0 = weibull_params(1.0, beta_r=beta_r).eta0
+        starts, got = channel_mod._crossings(cfg, eta0, 101)
+        want_starts, want = _scan_and_brent(cfg, eta0)
+        assert (starts, len(got)) == (want_starts, len(want)), cfg
+        assert np.all(np.abs(np.subtract(got, want)) <= 2e-13), cfg
+        seen += len(got)
+    assert seen >= 900  # nearly every config has a crossing below eta0^2
+
+
+def test_crossing_in_the_first_eta_cell_takes_a_second_round(monkeypatch):
+    # rate_raw carries sqrt(T_E) terms; this crossing lies below the first
+    # scan point eta0 / 100, next to the singular end of the T_E axis
+    cfg, eta0 = SchemeConfig("rps", alpha_sq=3.0, beta_sq=1e-6, t_s=0.5), weibull_params(1.0).eta0
+    sizes = []
+    real = channel_mod.key_rates
+    monkeypatch.setattr(channel_mod, "key_rates",
+                        lambda c, t: sizes.append(len(t)) or real(c, t))
+    starts, (t_star,) = channel_mod._crossings(cfg, eta0, 101)
+    assert sizes == [101, 15, 15]
+    assert math.sqrt(t_star) < eta0 / 100
+    monkeypatch.undo()
+    want_starts, (want,) = _scan_and_brent(cfg, eta0)
+    assert starts == want_starts and t_star == pytest.approx(want, abs=2e-13)
+
+
 def _fake_rates(rate_raw):
     """A stand-in for key_rates with a chosen rate_raw(T) and p_sub = 1/2."""
     def fake(cfg, t):
@@ -395,6 +487,23 @@ def test_two_crossings_use_the_scan_fallback(monkeypatch):
     assert got.rate == pytest.approx(0.5 * want, rel=1e-6)
 
 
+def test_refine_error_names_eta0_and_the_element(monkeypatch):
+    scan = _fake_rates(lambda t: t - 0.3)
+
+    def boom(cfg, t):
+        if len(t) == 101:
+            return scan(cfg, t)
+        exc = NumericalDomainError("synthetic failure")
+        exc.index = 7
+        raise exc
+
+    monkeypatch.setattr(channel_mod, "key_rates", boom)
+    m = weibull_params(1.0)
+    with pytest.raises(NumericalDomainError) as err:
+        average_key_rates(SchemeConfig("nops"), m, QuadratureSpec(200))
+    assert f"eta0={m.eta0:.6g}, refine 7 (T_E=" in str(err.value)
+
+
 def test_crossing_above_the_aperture_limit_gives_zero():
     # a small aperture caps T_E at eta0^2 ~ 0.005, below every crossing
     m = weibull_params(1.0, beta_r=0.05)
@@ -418,10 +527,9 @@ def test_default_average_evaluation_count(monkeypatch, scheme, sigma_b):
 
     monkeypatch.setattr(channel_mod, "key_rates", counting)
     average_key_rates(SchemeConfig(scheme), weibull_params(sigma_b), QuadratureSpec(200))
-    scan, *root_steps, nodes = sizes
-    assert scan == 101
-    assert 1 <= len(root_steps) <= 12 and set(root_steps) == {1}
-    assert nodes == 200  # one segment, so one array call of the whole budget
+    # the scan, one refine round of 15 new Lobatto points for the one
+    # crossing, and one array call of the whole node budget on one segment
+    assert sizes == [101, 15, 200]
 
 
 # ------------------------------------------------- many models in one call
@@ -463,11 +571,9 @@ def test_default_satellite_sweep_finds_each_crossing_once(monkeypatch, tmp_path)
     monkeypatch.setattr(channel_mod, "key_rates", counting)
     cli_main(["satellite-sweep", "--out", str(tmp_path / "sat.csv")])
     for scheme in ("nops", "tps", "rps"):
-        sizes = [n for s, n in calls if s == scheme]
-        scan, *root_steps, nodes = sizes
-        assert scan == 101  # one scan for all 40 sigma_b
-        assert 1 <= len(root_steps) <= 12 and set(root_steps) == {1}
-        assert nodes == 40 * 200  # one node call for all 40 averages
+        # one scan and one refine round for all 40 sigma_b, then one node
+        # call for all 40 averages
+        assert [n for s, n in calls if s == scheme] == [101, 15, 40 * 200]
 
 
 def test_error_names_the_model_of_the_failing_node(monkeypatch):
