@@ -1,114 +1,111 @@
-"""Exact second moments from the Gaussian generator of each state.
+"""Exact second moments in closed form.
 
-Without a Fock cutoff every state here is (v . a^dag) exp(1/2 a^dag W a^dag)|0>
-over the modes (A, B2, E, F), with a real symmetric 4x4 W and a real vector
-v (no prefactor for nops):
+Every state here comes from two two-mode squeezed vacua (A-B with mean photon
+number a = alpha_sq, E-F with b = beta_sq), one beam splitter of
+transmissivity t = T_E that mixes B with E (the entangling cloner; Weedbrook
+et al., Rev. Mod. Phys. 84, 621 (2012)) and at most one single-photon tap on
+B (Huang et al., Phys. Rev. A 87, 012317 (2013)).  None of these changes
+n_A + n_F - n_B - n_E, so of the two pairings <a_j a_k> and <a_j^dag a_k> of
+a mode pair only one is nonzero.  The eight scalars are the occupations n_j
+and the pairings k_ab, k_ef, k_eb, k_fb; a variance is 1 + 2 n, a
+covariance 2 k.
 
-* the two squeezed-vacuum sources put lambda = sqrt(mu / (1 + mu)) on the
-  A-B and E-F entries of W;
-* the channel beam splitter substitutes a^dag -> S a^dag, so W -> S^T W S and
-  v -> S^T v (minus sign on the reflected signal arm, as in ``fock_states``);
-* the tap conditioned on one photon acts as t_s^(n_B / 2) b, which turns into
-  the prefactor v = D W[B] and W -> D W D with D = diag(1, sqrt(t_s), 1, 1),
-  before the channel for tps and after it for rps.
+* The channel, B -> c B + s E and E -> c E - s B with c = sqrt(t),
+  s = sqrt(1 - t), maps a product of an A-B and an E-F state to
+  n_B = t n_B + (1 - t) n_E, n_E = (1 - t) n_B + t n_E, k_ab = c k_ab,
+  k_ef = c k_ef, k_eb = c s (n_E - n_B), k_fb = s k_ef.
+* The tap reflects B with amplitude sqrt(1 - t_s) and keeps the outcome with
+  one reflected photon.  The reflected mode is thermal with mean
+  m = (1 - t_s) n_B, so p_sub = m / (1 + m)^2.  Seen from B, a Gaussian state
+  is its amplitude r = sqrt(n_B), B's pairings kappa_j = k_jB / r and the
+  pairings sigma_jk = k_jk - kappa_j kappa_k of A, E, F given B.  Wick's
+  theorem gives the tapped state: sigma stays, r -> r sqrt(t_s w) and
+  kappa -> kappa sqrt(w) with w = 2 / (1 + m).
 
-Wick's theorem then gives every two-point function from
-M = W (1 - W^2)^-1 = <aa> and N = W^2 (1 - W^2)^-1 = <a^dag a> of the Gaussian
-part, and the squared norm of the exponential is det(1 - W^2)^(-1/2)
-(Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012)).
+tps taps the sources and sends them through the channel; rps taps the
+channel's output.  sigma is formed from the sources, not from the eight
+scalars: there k_jk and kappa_j kappa_k agree to about log10(a) digits.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
-from .fock_states import R_PS, T_PS, SchemeConfig, analytic_tap_probability
+from .fock_states import NO_PS, R_PS, T_PS, SchemeConfig
 from .moments import CovarianceSummary
 
-_A, _B, _E, _F = 0, 1, 2, 3
+_Moments = namedtuple("_Moments", "n_a n_b n_e n_f k_ab k_ef k_eb k_fb")
 
 
-def _tap(w: np.ndarray, g: np.ndarray, t_s: float):
-    """Prefactor v = D W[B], generator D W D and its 1 - (D W D)^2.
+def _channel(q: _Moments, t) -> _Moments:
+    """q after the beam splitter; q has no B-E, B-F or A-E pairing."""
+    u = 1.0 - t
+    c, s = np.sqrt(t), np.sqrt(u)
+    return _Moments(q.n_a, t * q.n_b + u * q.n_e, u * q.n_b + t * q.n_e, q.n_f,
+                    c * q.k_ab, c * q.k_ef, c * s * (q.n_e - q.n_b), s * q.k_ef)
 
-    1 - (D W D)^2 = (1 - D^2) + D (1 - W^2) D + (1 - t_s) D W[B] W[B]^T D is a
-    sum of positive terms, so it stays exact where 1 - W^2 is tiny."""
-    d = np.array([1.0, math.sqrt(t_s), 1.0, 1.0])  # D = diag(1, sqrt(t_s), 1, 1)
-    v = w[..., _B] * d
-    g = d[:, None] * g * d + (1.0 - t_s) * v[..., :, None] * v[..., None, :]
-    g[..., _B, _B] += 1.0 - t_s
-    return v, d[:, None] * w * d, g
+
+def _seen_from_b(a: float, b: float, t):
+    """The sources after the beam splitter, seen from B: r, kappa_a, kappa_e,
+    kappa_f, sigma_aa, sigma_ee, sigma_ff, sigma_ef.
+
+    With (u1, u2) = (sqrt(t a), sqrt((1 - t) b)) / r and x = sqrt(a b) / r,
+    sigma is (a u2^2 - u1^2, x^2, b u1^2 - u2^2, u1 x sqrt(1 + b)).  r comes
+    from amplitudes, so a faint source cannot underflow the ratios; with no
+    photon at B everything is 0."""
+    c, s = np.sqrt(t), np.sqrt(1.0 - t)
+    u1, u2 = c * math.sqrt(a), s * math.sqrt(b)
+    r = np.hypot(u1, u2)
+    norm = np.where(r > 0.0, r, 1.0)
+    u1, u2 = u1 / norm, u2 / norm
+    x = math.sqrt(a) * (math.sqrt(b) / norm)
+    return (r, u1 * math.sqrt(1.0 + a), c * s * (b - a) / norm, u2 * math.sqrt(1.0 + b),
+            a * u2 * u2 - u1 * u1, x * x, b * u1 * u1 - u2 * u2, u1 * x * math.sqrt(1.0 + b))
+
+
+def _tap(g, t_s: float):
+    """The moments after one photon is tapped off B of g (seen from B), and p_sub."""
+    r, ka, ke, kf, saa, see, sff, sef = g
+    n_b = r * r
+    m = (1.0 - t_s) * n_b
+    w = 2.0 / (1.0 + m)
+    kb = math.sqrt(t_s) * r * w  # k_jB = kb kappa_j
+    return (_Moments(saa + ka * ka * w, t_s * n_b * w, see + ke * ke * w, sff + kf * kf * w,
+                     kb * ka, sef + ke * kf * w, kb * ke, kb * kf),
+            m / ((1.0 + m) * (1.0 + m)))
 
 
 def exact_summary(cfg: SchemeConfig, t_e):
     """The eight second-moment scalars and the tap probability, untruncated.
 
     ``t_e`` is a float or a 1-D array; for an array every field is an array
-    over its elements.  Where the tap can never fire (v = 0: no photon
-    reaches it, e.g. tps with alpha_sq = 0 or rps with beta_sq = 0 at
-    t_e = 0) there is no conditional state: a float ``t_e`` gives None, an
-    array element gets p_sub = 0 and vacuum moments, for which every rate
-    is 0.  ``cfg.trunc_n`` plays no part.
+    over its elements.  Where the tap can never fire (no photon reaches it,
+    e.g. tps with alpha_sq = 0 or rps with beta_sq = 0 at t_e = 0) there is
+    no conditional state: a float ``t_e`` gives None, an array element gets
+    p_sub = 0 and vacuum moments, for which every rate is 0.  ``cfg.trunc_n``
+    plays no part.
     """
     t = np.atleast_1d(np.asarray(t_e, dtype=float))
     if not ((t >= 0.0) & (t <= 1.0)).all():
         raise ValueError("t_e must lie in [0, 1]")
-    w = np.zeros((4, 4))
-    w[_A, _B] = w[_B, _A] = math.sqrt(cfg.alpha_sq / (1.0 + cfg.alpha_sq))
-    w[_E, _F] = w[_F, _E] = math.sqrt(cfg.beta_sq / (1.0 + cfg.beta_sq))
-    # 1 - W^2 from 1 - lambda^2 = 1 / (1 + mean photon number), without cancellation
-    g = np.diag([1.0 / (1.0 + cfg.alpha_sq)] * 2 + [1.0 / (1.0 + cfg.beta_sq)] * 2)
-    s = np.repeat(np.eye(4)[None], t.size, axis=0)
-    s[:, _B, _B] = s[:, _E, _E] = np.sqrt(t)
-    s[:, _E, _B] = np.sqrt(1.0 - t)
-    s[:, _B, _E] = -s[:, _E, _B]
-    st = s.transpose(0, 2, 1)
-
-    v = None
-    if cfg.scheme == T_PS:
-        v, w, g = _tap(w, g, cfg.t_s)
-    elif cfg.scheme == R_PS:
-        w, g = st @ w @ s, st @ g @ s  # S orthogonal: 1 - (S^T W S)^2 = S^T (1 - W^2) S
-        v, w, g = _tap(w, g, cfg.t_s)
-    aa = np.linalg.solve(g, w)  # <aa> = W (1 - W^2)^-1; W commutes with g
-    ada = w @ aa                # <a^dag a> = W^2 (1 - W^2)^-1
-    if cfg.scheme != R_PS:
-        # the channel maps both two-point functions as it maps W: X -> S^T X S
-        aa, ada = st @ aa @ s, st @ ada @ s
-        if v is not None:
-            v = v @ s  # S^T v
-    c = aa + ada
-    var = 1.0 + 2.0 * np.diagonal(ada, axis1=1, axis2=2)
-    p_sub, fires = np.ones(t.size), np.ones(t.size, dtype=bool)
-    if v is not None:
-        # v only fixes a ray; rescale it so that tiny amplitudes cannot underflow
-        scale = np.abs(v).max(axis=1)
-        fires = scale > 0.0
-        scale[~fires] = 1.0
-        v = v / scale[:, None]
-        av = (ada @ v[..., None])[..., 0]
-        cv = (c @ v[..., None])[..., 0]
-        u = v + av               # <a_j (v.a^dag)>
-        mv = cv - av             # <(v.a) a_j>
-        nrm = (v * u).sum(axis=1)
-        nrm[~fires] = 1.0
-        q = (v + cv) / np.sqrt(nrm)[:, None]
-        var = var + 2.0 * (u * u + mv * mv) / nrm[:, None]
-        c = c + q[:, :, None] * q[:, None, :]
+    a, b = cfg.alpha_sq, cfg.beta_sq
+    r, p_sub = 1.0, 1.0  # r: the amplitude that reaches the tap, 0 where it never fires
+    if cfg.scheme == NO_PS:
+        q = _channel(_Moments(a, a, b, b, math.sqrt(a * (1.0 + a)), math.sqrt(b * (1.0 + b)),
+                              0.0, 0.0), t)
+    else:
+        g = _seen_from_b(a, b, t if cfg.scheme == R_PS else 1.0)
+        r = g[0]
+        q, p_sub = _tap(g, cfg.t_s)
         if cfg.scheme == T_PS:
-            p_sub = p_sub * analytic_tap_probability(cfg.alpha_sq, cfg.t_s)
-        else:
-            sq_norm = nrm * scale * scale / np.sqrt(np.linalg.det(g))
-            p_sub = (1.0 - cfg.t_s) * sq_norm / ((1.0 + cfg.alpha_sq) * (1.0 + cfg.beta_sq))
-    if not fires.all():
-        var[~fires], c[~fires], p_sub[~fires] = 1.0, 0.0, 0.0
+            q = _channel(q, t)
+    fields = [1.0 + 2.0 * n for n in q[:4]] + [2.0 * k for k in q[4:]] + [p_sub]
+    fields = [x if np.ndim(x) else np.full(t.shape, x) for x in fields]
     if np.ndim(t_e) == 0:
-        if not fires[0]:
+        if not np.all(r > 0.0):
             return None
-        var, c, p_sub = var[0], c[0], p_sub[0]
-    cov = 2.0 * c
-    return CovarianceSummary(var[..., _A], var[..., _B], var[..., _E], var[..., _F],
-                             cov[..., _A, _B], cov[..., _E, _F], cov[..., _E, _B],
-                             cov[..., _F, _B], p_sub)
+        fields = [x[0] for x in fields]
+    return CovarianceSummary(*fields)

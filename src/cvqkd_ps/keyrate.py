@@ -195,13 +195,14 @@ def key_rate_from_summary(s: CovarianceSummary, recon_eff: float, t_e: float) ->
 
 
 def key_rates(cfg: SchemeConfig, t_e) -> KeyRatePoint:
-    """Exact moments of the untruncated state, then the Gaussian figure, over
-    a 1-D array of transmissivities: a KeyRatePoint of arrays.
+    """Closed-form moments of the untruncated state (``exact``: the channel
+    map and one shared photon tap, p_sub = m / (1 + m)^2 with
+    m = (1 - t_s) n_B), then the Gaussian figure, over a 1-D array of
+    transmissivities: a KeyRatePoint of arrays.
 
     Where the tap can never fire there is no conditional state: p_sub and
-    every rate are 0.  ``cfg.trunc_n`` is not used here; the truncated Fock
-    pipeline (``build_state`` + ``covariance_summary``) is the reference.
-    A NumericalDomainError names the scheme and t_e of the first failing
+    every rate are 0.  ``cfg.trunc_n`` is not used here.  A
+    NumericalDomainError names the scheme and t_e of the first failing
     element, and its ``index``.
     """
     t = np.atleast_1d(np.asarray(t_e, dtype=float))

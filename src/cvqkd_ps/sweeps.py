@@ -48,7 +48,7 @@ DEFAULT_AXES = {
     "satellite_closeup": (0.05, 1.0, 20),
 }
 _DISTANCE_EXPERIMENTS = ("distance_sweep", "noise_grid", "photon_grid")
-_NODES_PER_CALL = 65536  # fading nodes per array call, each about 0.7 kB at its peak
+_NODES_PER_CALL = 65536  # fading nodes per array call, each about 0.3 kB at its peak
 DEFAULT_BETA_SQ_VALUES = (0.0001, 0.001, 0.01, 0.05, 0.1)
 DEFAULT_ALPHA_SQ_VALUES = (0.5, 1.0, 1.3, 2.0, 3.0)
 
