@@ -1,53 +1,42 @@
 #!/usr/bin/env python3
-"""A guided look at the four-mode states behind the key-rate bounds.
+"""The quantities every key rate is computed from, beside the Fock reference.
 
-Builds the three scheme variants on a moderately lossy channel, prints their
-dominant Fock components, the covariance summary each one produces, and the
-tap probabilities against the closed form.
+For each scheme on a moderately lossy channel, prints the eight second-moment
+scalars and the tap probability from the closed forms of ``cvqkd_ps.exact``
+(what the key rates use), the same quantities read from the Fock state
+truncated at N = 20 (``cvqkd_ps.fock_states``, the test reference) and their
+relative deviation.  Then the transmitter tap's probability against its
+closed form, and the receiver tap's dependence on the channel.
 """
 
-import math
-
-from cvqkd_ps import (
-    SchemeConfig,
-    analytic_tap_probability,
-    build_state,
-    covariance_summary,
-    subtraction_probability,
-)
+from cvqkd_ps import CovarianceSummary, SchemeConfig, exact_summary
+from cvqkd_ps.fock_states import analytic_tap_probability, build_state, covariance_summary
 
 T_E = 0.6
+N = 20
 
-print("=" * 72)
-print("Four-mode states at channel transmissivity T_E =", T_E)
-print("modes: |n_Alice, n_Bob, n_intercept, n_ancilla>")
-print("=" * 72)
+print("=" * 64)
+print(f"Second moments at T_E = {T_E}: closed form against Fock N = {N}")
+print("variances 1 + 2<n> in shot-noise units, x-quadrature covariances")
+print("=" * 64)
 
 for scheme in ("nops", "tps", "rps"):
-    cfg = SchemeConfig(scheme)
-    state = build_state(cfg, T_E)
-    ranked = sorted(state.items(), key=lambda kv: -abs(kv[1]))[:8]
+    cfg = SchemeConfig(scheme, trunc_n=N)
+    exact = exact_summary(cfg, T_E)
+    fock = covariance_summary(build_state(cfg, T_E))
     print(f"\n--- {scheme} ---")
-    print(f"kets stored: {len(state.kets)},  pre-normalization norm^2: "
-          f"{state.norm_constant:.6g}")
-    for ket, amp in ranked:
-        print(f"  |{ket[0]},{ket[1]},{ket[2]},{ket[3]}>  amplitude {amp:+.6f}")
-    s = covariance_summary(state)
-    print(f"  V_A={s.v_a:.4f}  V_B2={s.v_b2:.4f}  V_E={s.v_e:.4f}  V_F={s.v_f:.4f}")
-    print(f"  C_AB2={s.c_ab2:+.4f}  C_EF={s.c_ef:+.4f}  "
-          f"C_EB2={s.c_eb2:+.4f}  C_FB2={s.c_fb2:+.4f}")
+    print(f"  {'':6} {'exact':>14} {f'Fock N={N}':>14} {'rel. dev.':>10}")
+    for name in CovarianceSummary.CSV_COLUMNS:
+        e, f = getattr(exact, name), getattr(fock, name)
+        print(f"  {name:6} {e:14.9f} {f:14.9f} {abs(f - e) / abs(e):10.1e}")
 
-print("\n" + "=" * 72)
+print("\n" + "=" * 64)
 print("Tap (photon subtraction) probabilities")
-print("=" * 72)
+print("=" * 64)
+p_tps = exact_summary(SchemeConfig("tps"), T_E).p_sub
 closed = analytic_tap_probability(1.3, 0.9)
-p_tps = subtraction_probability(SchemeConfig("tps"))
-print(f"transmitter tap: truncated sum {p_tps:.6f} vs closed form {closed:.6f} "
-      f"(relative gap {abs(p_tps - closed) / closed:.2e})")
+print(f"transmitter tap: exact {p_tps:.15f}, closed form {closed:.15f} "
+      f"(relative gap {abs(p_tps - closed) / closed:.1e})")
 print("receiver tap depends on how much light survives the channel:")
 for t_e in (1.0, 0.6, 0.2):
-    p = subtraction_probability(SchemeConfig("rps"), t_e)
-    print(f"  T_E={t_e:3.1f}: P = {p:.6f}")
-
-print("\nsqueezing parameter r for alpha^2 = 1.3:",
-      f"{math.asinh(math.sqrt(1.3)):.6f}")
+    print(f"  T_E={t_e:3.1f}: P = {exact_summary(SchemeConfig('rps'), t_e).p_sub:.6f}")

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock_states import SchemeConfig
+from .exact import SchemeConfig
 from .keyrate import KeyRatePoint, NumericalDomainError, key_rates
 
 _SERIES_MAX_TERMS = 400

@@ -12,15 +12,8 @@ import sys
 from functools import lru_cache
 
 from .channel import QuadratureSpec
-from .fock_states import SCHEMES, SchemeConfig
-from .sweeps import (
-    DEFAULT_ALPHA_SQ_VALUES,
-    DEFAULT_AXES,
-    DEFAULT_BETA_SQ_VALUES,
-    ExperimentConfig,
-    emit_csv,
-    run_experiment,
-)
+from .exact import SCHEMES, SchemeConfig
+from .sweeps import DEFAULT_AXES, ExperimentConfig, emit_csv, run_experiment
 
 _EXPERIMENT_FOR_COMMAND = {
     "transmissivity-sweep": "transmissivity_sweep",
@@ -51,67 +44,57 @@ def read_config_file(path) -> dict:
     return values
 
 
-_CONFIG_PARSERS = {
-    "scheme": lambda v: [s.strip() for s in v.split(",") if s.strip()],
-    "alpha_sq": float,
-    "beta_sq": float,
-    "t_s": float,
-    "recon_eff": float,
-    "trunc": int,
-    "nodes": int,
-    "clamp_negative": lambda v: v.lower() in ("1", "true", "yes", "on"),
-    "start": float,
-    "stop": float,
-    "points": int,
-    "log_axis": lambda v: v.lower() in ("1", "true", "yes", "on"),
-    "atten_db_per_km": float,
-    "beta_sq_values": _float_list,
-    "alpha_sq_values": _float_list,
-    "beta_r": float,
-    "beam_w": float,
-    "threads": int,
-    "out": str,
-}
+def _file_value(action: argparse.Action, text: str):
+    """One config-file value, converted as its flag would convert it."""
+    if action.nargs == 0:  # --log-axis, --clamp-negative/--no-clamp-negative
+        return text.lower() in ("1", "true", "yes", "on")
+    if action.dest == "scheme":  # comma-separated, where the flag repeats
+        return [s.strip() for s in text.split(",") if s.strip()]
+    return action.type(text)
 
 
 def _add_common(p: argparse.ArgumentParser, command: str) -> None:
     exp = _EXPERIMENT_FOR_COMMAND[command]
     start, stop, points = DEFAULT_AXES[exp]
+    defaults = ExperimentConfig(exp)  # the flags' defaults are the dataclasses' own
+    base, quad = defaults.base, defaults.quad
     p.add_argument("--scheme", action="append", choices=SCHEMES, dest="scheme",
                    help="scheme to evaluate; repeatable (default: all three)")
-    p.add_argument("--alpha-sq", type=float, default=1.3, help="Alice mean photon number")
-    p.add_argument("--beta-sq", type=float, default=0.001, help="Eve mean photon number")
-    p.add_argument("--t-s", type=float, default=0.9, help="tap beam-splitter transmissivity")
-    p.add_argument("--recon-eff", type=float, default=0.95, help="reconciliation efficiency")
-    p.add_argument("--trunc", type=int, default=20,
+    p.add_argument("--alpha-sq", type=float, default=base.alpha_sq,
+                   help="Alice mean photon number")
+    p.add_argument("--beta-sq", type=float, default=base.beta_sq, help="Eve mean photon number")
+    p.add_argument("--t-s", type=float, default=base.t_s, help="tap beam-splitter transmissivity")
+    p.add_argument("--recon-eff", type=float, default=base.recon_eff,
+                   help="reconciliation efficiency")
+    p.add_argument("--trunc", type=int, default=base.trunc_n,
                    help="Fock cutoff of the reference pipeline, recorded in the output; "
                         "key rates are computed exactly, without truncation")
     p.add_argument("--start", type=float, default=start, help="axis start")
     p.add_argument("--stop", type=float, default=stop, help="axis stop")
     p.add_argument("--points", type=int, default=points, help="axis point count")
-    p.add_argument("--log-axis", action="store_true", default=False,
+    p.add_argument("--log-axis", action="store_true", default=defaults.log_axis,
                    help="space axis points geometrically")
-    p.add_argument("--threads", type=int, default=1, help="accepted (>= 1); has no effect")
+    p.add_argument("--threads", type=int, default=defaults.threads,
+                   help="accepted (>= 1); has no effect")
     p.add_argument("--out", type=str, default=f"{exp}.csv", help="output CSV path")
     p.add_argument("--config", type=str, default=None,
                    help="plain-text config file (key = value); flags override")
     if exp in ("distance_sweep", "noise_grid", "photon_grid"):
-        p.add_argument("--atten-db-per-km", type=float, default=0.2,
+        p.add_argument("--atten-db-per-km", type=float, default=defaults.atten_db_per_km,
                        help="fixed channel attenuation")
     if exp == "noise_grid":
-        p.add_argument("--beta-sq-values", type=_float_list,
-                       default=DEFAULT_BETA_SQ_VALUES,
+        p.add_argument("--beta-sq-values", type=_float_list, default=defaults.beta_sq_values,
                        help="comma-separated noise layers")
     if exp == "photon_grid":
-        p.add_argument("--alpha-sq-values", type=_float_list,
-                       default=DEFAULT_ALPHA_SQ_VALUES,
+        p.add_argument("--alpha-sq-values", type=_float_list, default=defaults.alpha_sq_values,
                        help="comma-separated source-strength layers")
     if exp.startswith("satellite"):
-        p.add_argument("--beta-r", type=float, default=1.0, help="aperture radius")
-        p.add_argument("--beam-w", type=float, default=1.0, help="beam-spot radius")
-        p.add_argument("--nodes", type=int, default=200, help="quadrature node budget")
+        p.add_argument("--beta-r", type=float, default=defaults.beta_r, help="aperture radius")
+        p.add_argument("--beam-w", type=float, default=defaults.beam_w, help="beam-spot radius")
+        p.add_argument("--nodes", type=int, default=quad.node_count,
+                       help="quadrature node budget")
         p.add_argument("--clamp-negative", action=argparse.BooleanOptionalAction,
-                       default=True,
+                       default=quad.clamp_negative,
                        help="clamp negative key rates to zero inside the average")
 
 
@@ -180,21 +163,21 @@ def main(argv=None) -> int:
         # values: argparse fills in only the defaults the namespace lacks, so
         # explicit flags keep priority and the shared parsers stay unchanged
         sp = commands[args.command]
-        dests = {a.dest for a in sp._actions}
+        actions = {a.dest: a for a in sp._actions}
+        known = {a.dest for c in commands.values() for a in c._actions} - {"help", "config"}
         seeded = argparse.Namespace(command=args.command)
         file_schemes = None
-        for key, value in read_config_file(args.config).items():
-            if key not in _CONFIG_PARSERS:
+        for key, text in read_config_file(args.config).items():
+            if key not in known:
                 raise ValueError(f"unknown config key {key!r}")
-            parsed = _CONFIG_PARSERS[key](value)
             if key == "scheme":
                 # append actions extend their default, so merge by hand
-                file_schemes = tuple(parsed)
-            elif key in dests:
-                setattr(seeded, key, parsed)
+                file_schemes = _file_value(actions[key], text)
+            elif key in actions:  # another command's key: ignored
+                setattr(seeded, key, _file_value(actions[key], text))
         args = sp.parse_args(argv[argv.index(args.command) + 1:], namespace=seeded)
         if args.scheme is None and file_schemes is not None:
-            args.scheme = list(file_schemes)
+            args.scheme = file_schemes
     config = config_from_args(args)
     result = run_experiment(config)
     emit_csv(result, args.out)

@@ -25,17 +25,82 @@ covariance 2 k.
 tps taps the sources and sends them through the channel; rps taps the
 channel's output.  sigma is formed from the sources, not from the eight
 scalars: there k_jk and kappa_j kappa_k agree to about log10(a) digits.
+
+The scheme names, ``SchemeConfig`` and ``CovarianceSummary`` are defined here
+too: this module is the model.  The truncated Fock construction in
+``fock_states`` is a test reference and is never imported by the package.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fock_states import NO_PS, R_PS, T_PS, SchemeConfig
-from .moments import CovarianceSummary
+NO_PS = "nops"
+T_PS = "tps"
+R_PS = "rps"
+SCHEMES = (NO_PS, T_PS, R_PS)
+
+
+@dataclass(frozen=True)
+class SchemeConfig:
+    """Physical parameters of one protocol variant.
+
+    alpha_sq / beta_sq are the mean photon numbers of Alice's and Eve's TMSV
+    (alpha^2 = sinh^2 r with squeezing parameter r, phase 0), t_s the tap
+    beam-splitter transmissivity and recon_eff the reconciliation efficiency
+    f.  trunc_n is the Fock cutoff of the reference construction
+    (``fock_states.build_state``); the moments here are untruncated and
+    ignore it.  It stays a field (with ``--trunc`` and the ``trunc_n=`` CSV
+    metadata line) because the benchmark harness still sends and reads it.
+    """
+
+    scheme: str
+    alpha_sq: float = 1.3
+    beta_sq: float = 0.001
+    t_s: float = 0.9
+    recon_eff: float = 0.95
+    trunc_n: int = 20
+
+    def __post_init__(self):
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
+        for name in ("alpha_sq", "beta_sq", "t_s", "recon_eff"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if self.alpha_sq < 0 or self.beta_sq < 0:
+            raise ValueError("mean photon numbers must be >= 0")
+        if not 0.0 <= self.t_s <= 1.0:
+            raise ValueError("t_s must lie in [0, 1]")
+        if not 0.0 <= self.recon_eff <= 1.0:
+            raise ValueError("recon_eff must lie in [0, 1]")
+        if self.trunc_n < 1:
+            raise ValueError("trunc_n must be >= 1")
+
+
+@dataclass(frozen=True)
+class CovarianceSummary:
+    """The eight second-moment scalars plus the tap probability.
+
+    c_ab2, c_ef and c_fb2 are two-mode-squeezing type (sigma blocks); c_eb2
+    is beam-splitter type (identity block).
+    """
+
+    v_a: float
+    v_b2: float
+    v_e: float
+    v_f: float
+    c_ab2: float
+    c_ef: float
+    c_eb2: float
+    c_fb2: float
+    p_sub: float
+
+    CSV_COLUMNS = ("v_a", "v_b2", "v_e", "v_f", "c_ab2", "c_ef", "c_eb2", "c_fb2", "p_sub")
+
 
 _Moments = namedtuple("_Moments", "n_a n_b n_e n_f k_ab k_ef k_eb k_fb")
 

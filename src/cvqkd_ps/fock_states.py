@@ -1,5 +1,5 @@
 """Truncated four-mode Fock states for entanglement-based CV-QKD with photon
-subtraction.
+subtraction, and the second moments read from them.
 
 Alice keeps mode A of a two-mode squeezed vacuum (TMSV) and sends the other
 arm towards Bob.  A single photon may be tapped off with a beam splitter of
@@ -23,23 +23,32 @@ States are stored sparsely: a lexicographically sorted table of occupation
 quadruples with one real amplitude each.  Distinct summation indices that
 land on the same quadruple are accumulated before normalization.
 
+The states have vanishing first moments, so a quadrature variance is
+1 + 2<n> and a quadrature covariance reduces to ladder expectation values.
+For a pair of modes (X, Y) only one of the two pairings can be nonzero,
+selected by the photon-number bookkeeping of the ket pattern:
+
+* <XY + X'Y'>   ("two-mode-squeezing" type, sigma block in the covariance
+  matrix: x-x and p-p correlations of opposite sign);
+* <XY' + X'Y>   ("beam-splitter" type, identity block: equal sign).
+
+cross_covariance returns their sum, i.e. the x-quadrature covariance, which
+is the magnitude entering the block covariance matrices either way.
+
 The key rates come from the untruncated moments of ``exact``; this truncated
-construction (with ``moments``) is the reference they are tested against.
+construction is the reference they are tested against.  The package never
+imports this module.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-NO_PS = "nops"
-T_PS = "tps"
-R_PS = "rps"
-SCHEMES = (NO_PS, T_PS, R_PS)
+from .exact import NO_PS, R_PS, T_PS, CovarianceSummary, SchemeConfig
 
 MODES = ("A", "B2", "E", "F")
 MODE_INDEX = {"A": 0, "B2": 1, "E": 2, "F": 3}
@@ -47,45 +56,6 @@ MODE_INDEX = {"A": 0, "B2": 1, "E": 2, "F": 3}
 
 class TruncationWarning(UserWarning):
     """Raised when the truncated squared norm visibly undershoots its target."""
-
-
-@dataclass(frozen=True)
-class SchemeConfig:
-    """Physical parameters of one protocol variant.
-
-    alpha_sq / beta_sq are the mean photon numbers of Alice's and Eve's TMSV
-    (alpha^2 = sinh^2 r with squeezing parameter r, phase 0), t_s the tap
-    beam-splitter transmissivity, recon_eff the reconciliation efficiency f,
-    and trunc_n the Fock cutoff applied to both TMSV expansions by the
-    reference pipeline here (``build_state``).  ``keyrate.key_rate`` works
-    without truncation and ignores trunc_n.
-    """
-
-    scheme: str
-    alpha_sq: float = 1.3
-    beta_sq: float = 0.001
-    t_s: float = 0.9
-    recon_eff: float = 0.95
-    trunc_n: int = 20
-
-    def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
-        for name in ("alpha_sq", "beta_sq", "t_s", "recon_eff"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.alpha_sq < 0 or self.beta_sq < 0:
-            raise ValueError("mean photon numbers must be >= 0")
-        if not 0.0 <= self.t_s <= 1.0:
-            raise ValueError("t_s must lie in [0, 1]")
-        if not 0.0 <= self.recon_eff <= 1.0:
-            raise ValueError("recon_eff must lie in [0, 1]")
-        if self.trunc_n < 1:
-            raise ValueError("trunc_n must be >= 1")
-
-    @property
-    def squeezing_r(self) -> float:
-        return math.asinh(math.sqrt(self.alpha_sq))
 
 
 def tmsv_coefficient(mean_photon: float, n: int) -> float:
@@ -403,3 +373,83 @@ def subtraction_probability(cfg: SchemeConfig, t_e: float = 1.0) -> float:
     if cfg.scheme == T_PS:
         return _tap_probability_truncated(cfg.alpha_sq, cfg.t_s, cfg.trunc_n)
     return build_state(cfg, t_e).p_sub
+
+
+def _mode_index(mode: str) -> int:
+    try:
+        return MODE_INDEX[mode]
+    except KeyError:
+        raise ValueError(f"unknown mode {mode!r}, expected one of {tuple(MODE_INDEX)}") from None
+
+
+def mean_occupation(state: SparseFourModeState, mode: str) -> float:
+    """<n> of one mode: sum of |amplitude|^2 times occupation."""
+    i = _mode_index(mode)
+    a = state.amps
+    return float(np.dot(a * a, state.kets[:, i]))
+
+
+def variance(state: SparseFourModeState, mode: str) -> float:
+    """Quadrature variance 1 + 2<n> (vacuum = 1; first moments vanish)."""
+    return 1.0 + 2.0 * mean_occupation(state, mode)
+
+
+def first_moment(state: SparseFourModeState, mode: str) -> float:
+    """<X + X'> of one mode; identically zero for every state built here
+    because no stored ket pairs with its own single raise."""
+    i = _mode_index(mode)
+    idx = state._skeleton.single_raise(i)
+    ok = idx >= 0
+    if not ok.any():
+        return 0.0
+    a = state.amps
+    occ = state.kets[ok, i].astype(np.float64)
+    return float(2.0 * np.dot(a[ok] * np.sqrt(occ + 1.0), a[idx[ok]]))
+
+
+def cross_covariance(state: SparseFourModeState, mode_x: str, mode_y: str) -> float:
+    """x-quadrature covariance of two distinct modes.
+
+    Sum of the raise-raise pairing 2 sum a(k) a(k+1x+1y) sqrt((nx+1)(ny+1))
+    and the raise-lower pairing 2 sum a(k) a(k+1x-1y) sqrt((nx+1) ny); the ket
+    pattern forces at least one of the two to be an empty sum.  Computed on
+    the canonically ordered mode pair, so it is exactly symmetric.
+    """
+    ix, iy = _mode_index(mode_x), _mode_index(mode_y)
+    if ix == iy:
+        raise ValueError("cross_covariance needs two distinct modes")
+    if ix > iy:
+        ix, iy = iy, ix
+    sk = state._skeleton
+    a = state.amps
+    kets = state.kets
+    total = 0.0
+
+    idx = sk.raise_raise(ix, iy)
+    ok = idx >= 0
+    if ok.any():
+        w = np.sqrt((kets[ok, ix] + 1.0) * (kets[ok, iy] + 1.0))
+        total += 2.0 * float(np.dot(a[ok] * w, a[idx[ok]]))
+
+    idx = sk.raise_lower(ix, iy)
+    ok = idx >= 0
+    if ok.any():
+        w = np.sqrt((kets[ok, ix] + 1.0) * kets[ok, iy])
+        total += 2.0 * float(np.dot(a[ok] * w, a[idx[ok]]))
+
+    return total
+
+
+def covariance_summary(state: SparseFourModeState) -> CovarianceSummary:
+    """All scalars needed by the Gaussian key-rate bound, in one pass."""
+    return CovarianceSummary(
+        v_a=variance(state, "A"),
+        v_b2=variance(state, "B2"),
+        v_e=variance(state, "E"),
+        v_f=variance(state, "F"),
+        c_ab2=cross_covariance(state, "A", "B2"),
+        c_ef=cross_covariance(state, "E", "F"),
+        c_eb2=cross_covariance(state, "E", "B2"),
+        c_fb2=cross_covariance(state, "F", "B2"),
+        p_sub=state.p_sub,
+    )

@@ -28,9 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import exact_summary
-from .fock_states import SchemeConfig
-from .moments import CovarianceSummary
+from .exact import CovarianceSummary, SchemeConfig, exact_summary
 
 _NU_CLAMP = 1e-7
 _DISC_TOL = 1e-6
@@ -170,9 +168,6 @@ class KeyRatePoint:
     rate_normalized: float
 
     CSV_COLUMNS = ("t_e", "i_g", "chi_g", "p_sub", "rate_raw", "rate", "rate_normalized")
-
-    def to_csv_row(self) -> str:
-        return ",".join(f"{getattr(self, c):.12g}" for c in self.CSV_COLUMNS)
 
     def at(self, i: int) -> "KeyRatePoint":
         """Element i of an array-valued point, as floats."""

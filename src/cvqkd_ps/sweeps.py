@@ -25,7 +25,7 @@ from .channel import (
     distance_to_transmissivity,
     weibull_params,
 )
-from .fock_states import SCHEMES, SchemeConfig
+from .exact import SCHEMES, SchemeConfig
 from .keyrate import KeyRatePoint, key_rates
 
 EXPERIMENTS = (
@@ -58,7 +58,7 @@ class ExperimentConfig:
     """One sweep: experiment kind, schemes, base parameters, axis, channel (threads: no effect)."""
 
     experiment: str
-    schemes: tuple = ("nops", "tps", "rps")
+    schemes: tuple = SCHEMES
     base: SchemeConfig = field(default_factory=lambda: SchemeConfig("nops"))
     start: float | None = None
     stop: float | None = None
@@ -97,6 +97,10 @@ class ExperimentConfig:
         if not (math.isfinite(self.atten_db_per_km) and self.atten_db_per_km >= 0.0):
             raise ValueError("--atten-db-per-km must be finite and >= 0, "
                              f"got {self.atten_db_per_km:g}")
+        if self.experiment == "noise_grid" and not self.beta_sq_values:
+            raise ValueError("--beta-sq-values must name at least one layer")
+        if self.experiment == "photon_grid" and not self.alpha_sq_values:
+            raise ValueError("--alpha-sq-values must name at least one layer")
 
     def _bounds(self) -> tuple:
         """(start, stop, points), the experiment's defaults filling the gaps."""

@@ -24,25 +24,27 @@ from cvqkd_ps import (
     QuadratureSpec,
     SchemeConfig,
     TwoModeCov,
-    analytic_tap_probability,
     average_key_rates,
-    build_state,
     cdf,
-    covariance_summary,
-    cross_covariance,
     distance_to_transmissivity,
     emit_csv,
-    first_moment,
     inverse_cdf,
     key_rate,
     mean_transmissivity,
     pdf,
     run_experiment,
-    subtraction_probability,
     symplectic_eigenvalues,
-    variance,
     von_neumann_g,
     weibull_params,
+)
+from cvqkd_ps.fock_states import (
+    analytic_tap_probability,
+    build_state,
+    covariance_summary,
+    cross_covariance,
+    first_moment,
+    subtraction_probability,
+    variance,
 )
 
 import oracles

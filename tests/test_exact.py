@@ -14,9 +14,7 @@ from hypothesis import strategies as st
 from cvqkd_ps import (
     CovarianceSummary,
     SchemeConfig,
-    build_state,
     conditional_cov_ef_given_b2,
-    covariance_summary,
     eve_cov,
     exact_summary,
     key_rate,
@@ -25,6 +23,7 @@ from cvqkd_ps import (
 )
 from cvqkd_ps.cli import main as cli_main
 from cvqkd_ps.exact import _channel, _Moments
+from cvqkd_ps.fock_states import build_state, covariance_summary
 from cvqkd_ps.sweeps import parse_csv
 
 import oracles
@@ -49,6 +48,24 @@ def test_matches_fock_reference(scheme, t_e, b2):
         want = covariance_summary(build_state(cfg, t_e))
     for name in CovarianceSummary.CSV_COLUMNS:
         assert getattr(got, name) == pytest.approx(getattr(want, name), abs=1e-8), name
+
+
+@pytest.mark.parametrize("scheme", ["nops", "tps", "rps"])
+@pytest.mark.parametrize("t_e,b2", [(0.3, 1e-3), (0.8, 0.1)])
+def test_fock_reference_converges_with_the_cutoff(scheme, t_e, b2):
+    # the truncation tail shrinks geometrically in N (about 4e-2, 1e-3, 1e-7
+    # and 1e-10 or less at these points); every field is nonzero here
+    got = exact_summary(SchemeConfig(scheme, beta_sq=b2), t_e)
+    deviations = []
+    for n in (8, 16, 32, 48):
+        cfg = SchemeConfig(scheme, beta_sq=b2, trunc_n=n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # small cutoffs warn, as they should
+            want = covariance_summary(build_state(cfg, t_e))
+        deviations.append(max(abs(getattr(want, name) / getattr(got, name) - 1.0)
+                              for name in CovarianceSummary.CSV_COLUMNS))
+    assert all(b < a for a, b in zip(deviations, deviations[1:])), deviations
+    assert deviations[-1] <= 1e-8, deviations
 
 
 @pytest.mark.parametrize("scheme,t_e", [("tps", 0.9), ("nops", 0.45), ("rps", 0.45)])

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
-from cvqkd_ps import (
-    SchemeConfig,
+import cvqkd_ps
+from cvqkd_ps import SchemeConfig
+from cvqkd_ps.fock_states import (
     TruncationWarning,
     analytic_tap_probability,
     bs_coefficient,
@@ -241,6 +246,13 @@ def test_config_rejects_non_finite(field, value):
         SchemeConfig("tps", **{field: value})
 
 
-def test_squeezing_parameter():
-    c = cfg("nops")
-    assert math.sinh(c.squeezing_r) ** 2 == pytest.approx(1.3, rel=1e-12)
+def test_import_does_not_load_the_reference():
+    # the package computes everything from cvqkd_ps.exact; the Fock
+    # construction is a leaf that only tests, demos and the benchmark import
+    env = dict(os.environ, PYTHONPATH=str(Path(cvqkd_ps.__file__).resolve().parents[1]))
+    code = "import sys, cvqkd_ps; print(*sorted(m for m in sys.modules if 'cvqkd' in m))"
+    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True, env=env).stdout.split()
+    assert "cvqkd_ps.exact" in loaded
+    assert "cvqkd_ps.fock_states" not in loaded
+    assert "cvqkd_ps.moments" not in loaded

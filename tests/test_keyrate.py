@@ -6,12 +6,11 @@ import pytest
 import cvqkd_ps.channel as channel_mod
 from cvqkd_ps.keyrate import key_rate_from_summary
 from cvqkd_ps import (
+    CovarianceSummary,
     NumericalDomainError,
     SchemeConfig,
     TwoModeCov,
-    build_state,
     conditional_cov_ef_given_b2,
-    covariance_summary,
     eve_cov,
     key_rate,
     key_rates,
@@ -19,6 +18,7 @@ from cvqkd_ps import (
     symplectic_eigenvalues,
     von_neumann_g,
 )
+from cvqkd_ps.fock_states import build_state, covariance_summary
 
 import oracles
 
@@ -102,16 +102,12 @@ def test_mi_errors():
 # ------------------------------------------------------ conditional covariance
 
 def test_conditioning_on_uncorrelated_mode_is_identity():
-    from cvqkd_ps.moments import CovarianceSummary
-
     s = CovarianceSummary(3.6, 2.0, 2.5, 1.1, 1.0, 0.3, 0.0, 0.0, 1.0)
     cond = conditional_cov_ef_given_b2(s)
     assert cond == eve_cov(s)
 
 
 def test_noisy_measurement_limit():
-    from cvqkd_ps.moments import CovarianceSummary
-
     base = CovarianceSummary(3.6, 1e12, 2.5, 1.1, 0.0, 0.3, 0.8, 0.5, 1.0)
     cond = conditional_cov_ef_given_b2(base)
     ref = eve_cov(base)
@@ -218,14 +214,6 @@ def test_error_paths():
     with pytest.raises(NumericalDomainError) as err:
         mutual_information(1e300, 1e-300, 1.0)
     assert "conditional variance" in str(err.value)
-
-
-def test_csv_row():
-    kr = key_rate(SchemeConfig("nops"), 0.8)
-    cells = kr.to_csv_row().split(",")
-    assert len(cells) == 7
-    assert float(cells[0]) == 0.8
-    assert float(cells[5]) == pytest.approx(kr.rate, rel=1e-11)
 
 
 def test_channel_error_context(monkeypatch):

@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 
 from cvqkd_ps import (
-    CovarianceSummary,
     SchemeConfig,
     TwoModeCov,
+    symplectic_eigenvalues,
+    von_neumann_g,
+)
+from cvqkd_ps.fock_states import (
     build_state,
     covariance_summary,
     cross_covariance,
     first_moment,
     mean_occupation,
-    symplectic_eigenvalues,
     variance,
-    von_neumann_g,
 )
 
 import oracles
@@ -202,13 +203,3 @@ def test_purity_bipartition_identity_gaussian_scheme():
             g_ab = sum(von_neumann_g(v) for v in symplectic_eigenvalues(
                 TwoModeCov.symmetric(s.v_a, s.v_b2, s.c_ab2, -1)))
             assert g_ef == pytest.approx(g_ab, abs=1e-5)
-
-
-def test_csv_row():
-    s = covariance_summary(state_for("tps", 0.5))
-    row = s.to_csv_row()
-    cells = row.split(",")
-    assert len(cells) == 9
-    assert float(cells[0]) == pytest.approx(s.v_a, rel=1e-11)
-    assert float(cells[8]) == pytest.approx(s.p_sub, rel=1e-11)
-    assert CovarianceSummary.CSV_COLUMNS[0] == "v_a"

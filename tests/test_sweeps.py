@@ -12,6 +12,7 @@ from cvqkd_ps import (
     parse_csv,
     run_experiment,
 )
+from cvqkd_ps import cli
 from cvqkd_ps.cli import main as cli_main
 
 
@@ -263,6 +264,56 @@ def test_cli_rejects_an_invalid_axis_by_flag(tmp_path, argv, message):
         cli_main(argv + ["--out", str(out)])
     assert str(err.value) == message
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flag", [("noise-grid", "--beta-sq-values"),
+                                          ("photon-grid", "--alpha-sq-values")])
+def test_cli_rejects_an_empty_layer_list(tmp_path, command, flag):
+    out = tmp_path / "out.csv"
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{flag[2:]} =\n")
+    for argv in ([flag, ","], ["--config", str(cfg_file)]):
+        with pytest.raises(ValueError) as err:
+            cli_main([command] + argv + ["--out", str(out)])
+        assert str(err.value) == f"{flag} must name at least one layer"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(cli._EXPERIMENT_FOR_COMMAND))
+def test_cli_defaults_are_the_dataclass_defaults(command):
+    experiment = cli._EXPERIMENT_FOR_COMMAND[command]
+    start, stop, points = sweeps_mod.DEFAULT_AXES[experiment]
+    parser, _ = cli.build_parser()
+    assert cli.config_from_args(parser.parse_args([command])) == ExperimentConfig(
+        experiment, start=start, stop=stop, points=points)
+
+
+@pytest.mark.parametrize("command,settings", [
+    ("photon-grid", {"scheme": "tps,rps", "alpha_sq": "2", "beta_sq": "0.01", "t_s": "0.8",
+                     "recon_eff": "0.9", "trunc": "8", "start": "1", "stop": "50",
+                     "points": "3", "log_axis": "true", "threads": "2",
+                     "atten_db_per_km": "0.3", "alpha_sq_values": "0.5,1"}),
+    ("satellite-closeup", {"scheme": "nops", "start": "0.2", "stop": "0.6", "points": "2",
+                           "beta_r": "1.5", "beam_w": "0.8", "nodes": "16",
+                           "clamp_negative": "off"}),
+])
+def test_cli_config_file_reads_like_the_flags(tmp_path, command, settings):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+    flags = []
+    for key, value in settings.items():
+        flag = "--" + key.replace("_", "-")
+        if key == "scheme":
+            flags += [a for s in value.split(",") for a in (flag, s)]
+        elif value in ("true", "off"):
+            flags.append(flag if value == "true" else "--no-" + flag[2:])
+        else:
+            flags += [flag, value]
+    from_file, from_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
+    cli_main([command, "--config", str(cfg_file), "--out", str(from_file)])
+    cli_main([command] + flags + ["--out", str(from_flags)])
+    assert from_file.read_bytes() == from_flags.read_bytes()
+    assert parse_csv(from_file).metadata["schemes"] == settings["scheme"]
 
 
 def test_satellite_rows_do_not_depend_on_the_node_call_size(monkeypatch):

@@ -27,8 +27,8 @@ import math
 
 import numpy as np
 
-from cvqkd_ps.fock_states import R_PS, T_PS, SchemeConfig, analytic_tap_probability
-from cvqkd_ps.moments import CovarianceSummary
+from cvqkd_ps import R_PS, T_PS, CovarianceSummary, SchemeConfig
+from cvqkd_ps.fock_states import analytic_tap_probability
 
 _A, _B, _E, _F = 0, 1, 2, 3
 
