@@ -12,9 +12,10 @@ evaluated with Gauss-Legendre nodes.  Negative key-rate bounds mean "no key",
 so by default they are clamped to zero inside the average (the raw signed
 integral stays available via clamp_negative=False): the key rate depends on
 u only through T_E = eta(u)^2, which rises with u, so its zero crossings are
-found in eta = sqrt(T_E) by a scan and stacked Chebyshev interpolants, then
-mapped to u with the CDF; they depend on the law only through eta0, so the
-averages of one call share them.
+found in eta = sqrt(T_E) by a scan on Chebyshev-Lobatto panels whose
+interpolants give the roots (stacked refine rounds only where a root is not
+yet resolved), then mapped to u with the CDF; they depend on the law only
+through eta0, so the averages of one call share them.
 """
 
 from __future__ import annotations
@@ -210,6 +211,7 @@ def _unit_interval_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 _ROOT_XTOL = 1e-14
 _ROOT_MAX_STEPS = 100
 _ROOT_TTOL, _REFINE_ROUNDS = 1e-12, 4  # the refine's error bound on T* and its round cap
+_PANELS = 24  # scan panels, 16 _PANELS + 1 points; more cost more than the rare refine they save
 
 
 def _rates(cfg: SchemeConfig, t, stage: str, labels: list, starts: list, u=None) -> KeyRatePoint:
@@ -285,34 +287,40 @@ def _lobatto() -> tuple[np.ndarray, np.ndarray]:
         np.linalg.inv(v), np.linalg.inv(v[::2, :9]) @ np.eye(17)[::2], d @ np.linalg.inv(v)])
 
 
-def _crossings(cfg: SchemeConfig, eta0: float, probes: int) -> tuple[bool, list]:
-    """Whether rate_raw > 0 at T_E = 0, and its zero crossings T* in [0, eta0^2]: a
-    scan evenly spaced in eta = sqrt(T_E), where rate_raw is analytic, brackets them.
-    Each round samples Lobatto points in all open brackets in one call; a bracket whose
-    interpolant's root the degree-8 one moves by over _ROOT_TTOL narrows to a sign change."""
-    where, eta = [f"eta0={eta0:.6g}"], np.linspace(0.0, eta0, probes)
-    f = _rates(cfg, eta**2, "scan", where, [0]).rate_raw
+def _crossings(cfg: SchemeConfig, eta0: float) -> tuple[bool, list]:
+    """Whether rate_raw > 0 at T_E = 0, and its zero crossings T* in [0, eta0^2], in
+    eta = sqrt(T_E), where rate_raw is analytic.  The scan is round 0: _PANELS even
+    panels of 17 Lobatto points each (neighbours share their ends) in one call.  Each
+    sign change between adjacent samples is solved on its panel's interpolant inside
+    its own cell; a root the degree-8 interpolant moves by over _ROOT_TTOL narrows to
+    that cell, and each later round samples Lobatto points in all such cells in one call."""
     nodes, fit = _lobatto()
-    todo = {k: (eta[i:i + 2], f[i:i + 2]) for k, i in enumerate(np.flatnonzero(np.diff(f > 0.0)))}
-    roots, round_ = [0.0] * len(todo), 0
-    while todo:
+    where = [f"eta0={eta0:.6g}"]
+    eta = np.append((eta0 / _PANELS) * (np.arange(_PANELS)[:, None] + (1.0 + nodes[:-1]) / 2.0),
+                    eta0)
+    f = _rates(cfg, eta**2, "scan", where, [0]).rate_raw
+    panels = np.arange(0, 16 * _PANELS, 16)[:, None] + np.arange(17)
+    x, y = eta[panels], f[panels]
+    roots, round_ = [], 0
+    while True:
+        brackets, coef = [], y @ fit.T
+        for k, j in np.argwhere(np.diff(y > 0.0, axis=1)):
+            xs, ys, c = x[k], y[k], coef[k].tolist()
+            s = _brent(lambda z: _clenshaw(c[:17], z), nodes[j], nodes[j + 1], ys[j], ys[j + 1])
+            root = xs[0] + (xs[-1] - xs[0]) * (1.0 + s) / 2.0
+            # off by about 2 root d(eta), d(eta) = |p8| / |d p16/d eta|
+            off = root * (xs[-1] - xs[0]) * abs(_clenshaw(c[17:26], s))
+            if off <= _ROOT_TTOL * abs(_clenshaw(c[26:], s)) or round_ == _REFINE_ROUNDS:
+                roots.append(root**2)
+            else:
+                brackets.append((xs[j:j + 2], ys[j:j + 2]))
+        if not brackets:
+            return bool(f[0] > 0.0), sorted(roots)
         round_ += 1
-        ends, f_ends = map(np.array, zip(*todo.values()))
+        ends, f_ends = map(np.array, zip(*brackets))
         x = ends @ np.array([(1.0 - nodes) / 2.0, (1.0 + nodes) / 2.0])
         inner = _rates(cfg, (x[:, 1:-1] ** 2).ravel(), "refine", where, [0]).rate_raw
         y = np.column_stack([f_ends[:, 0], inner.reshape(len(x), -1), f_ends[:, 1]])
-        for k, xs, ys, c in zip(list(todo), x, y, (y @ fit.T).tolist()):
-            s = _brent(lambda z: _clenshaw(c[:17], z), -1.0, 1.0, ys[0], ys[-1])
-            root = xs[0] + (xs[-1] - xs[0]) * (1.0 + s) / 2.0
-            roots[k] = root**2  # off by about 2 root d(eta), d(eta) = |p8| / |d p16/d eta|
-            off = root * (xs[-1] - xs[0]) * abs(_clenshaw(c[17:26], s))
-            if off <= _ROOT_TTOL * abs(_clenshaw(c[26:], s)) or round_ == _REFINE_ROUNDS:
-                del todo[k]
-                continue
-            cells = np.flatnonzero(np.diff(ys > 0.0))
-            j = cells[np.argmin(abs(nodes[cells] + nodes[cells + 1] - 2.0 * s))]
-            todo[k] = (xs[j:j + 2], ys[j:j + 2])
-    return bool(f[0] > 0.0), roots
 
 
 def _positive_region(model: FadingModel, starts_positive: bool, crossings: list) -> list:
@@ -343,12 +351,12 @@ def average_key_rates_many(cfg: SchemeConfig, models, quad: QuadratureSpec) -> l
     one array call, and each model's reduction runs in its own fixed node
     order, so every average is bit-identical to a one-model call.
     """
-    probes, crossings, rules, starts = max(65, quad.node_count // 2 + 1), {}, [], [0]
+    crossings, rules, starts = {}, [], [0]
     for model in models:
         segments = [(0.0, 1.0)]
         if quad.clamp_negative:
             if model.eta0 not in crossings:
-                crossings[model.eta0] = _crossings(cfg, model.eta0, probes)
+                crossings[model.eta0] = _crossings(cfg, model.eta0)
             segments = _positive_region(model, *crossings[model.eta0])
         rules.append(_nodes(segments, quad.node_count))
         starts.append(starts[-1] + len(rules[-1][0]))  # where each model's nodes begin

@@ -25,6 +25,10 @@ _EXPERIMENT_FOR_COMMAND = {
 }
 
 
+_SWITCH_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+                 "0": False, "false": False, "no": False, "off": False}
+
+
 def _float_list(text: str) -> tuple:
     return tuple(float(v) for v in text.split(",") if v.strip())
 
@@ -47,7 +51,11 @@ def read_config_file(path) -> dict:
 def _file_value(action: argparse.Action, text: str):
     """One config-file value, converted as its flag would convert it."""
     if action.nargs == 0:  # --log-axis, --clamp-negative/--no-clamp-negative
-        return text.lower() in ("1", "true", "yes", "on")
+        word = text.lower()
+        if word not in _SWITCH_WORDS:
+            raise ValueError(f"config key {action.dest!r} is a switch: expected one of "
+                             f"{', '.join(_SWITCH_WORDS)}, got {text!r}")
+        return _SWITCH_WORDS[word]
     if action.dest == "scheme":  # comma-separated, where the flag repeats
         return [s.strip() for s in text.split(",") if s.strip()]
     return action.type(text)

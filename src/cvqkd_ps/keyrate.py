@@ -41,12 +41,13 @@ class NumericalDomainError(RuntimeError):
 
 def _check(bad, error: type, message: str, *values) -> None:
     """Raise error(message filled with the values at the first element where
-    bad holds); ``index`` on the exception names that element."""
-    bad = np.asarray(bad)
+    bad holds); ``index`` on the exception names that element's position
+    along the last axis, the points' axis of stacked blocks."""
+    bad = np.atleast_1d(bad)
     if bad.any():
         i = int(bad.argmax())
         exc = error(message.format(*(np.ravel(v)[i] for v in values)))
-        exc.index = i
+        exc.index = int(np.unravel_index(i, bad.shape)[-1])
         raise exc
 
 
@@ -142,13 +143,17 @@ def conditional_cov_ef_given_b2(s: CovarianceSummary) -> TwoModeCov:
 def holevo_bound(s: CovarianceSummary) -> float:
     """chi(B2:EF) = g-sum of M_EF minus g-sum of M_EF|B2.
 
-    Both covariance matrices are Eve's own blocks.  For a non-Gaussian state
-    (tps, rps) this surrogate chi is not shown to upper-bound Eve's Holevo
-    information; see the module docstring.
+    Both covariance matrices are Eve's own blocks.  They share their p
+    entries, so both are evaluated in one stacked pass: one TwoModeCov whose
+    x entries hold the two blocks along a leading axis.  For a non-Gaussian
+    state (tps, rps) this surrogate chi is not shown to upper-bound Eve's
+    Holevo information; see the module docstring.
     """
-    g = von_neumann_g(np.array(symplectic_eigenvalues(eve_cov(s))
-                               + symplectic_eigenvalues(conditional_cov_ef_given_b2(s))))
-    return g[0] + g[1] - g[2] - g[3]
+    eve, cond = eve_cov(s), conditional_cov_ef_given_b2(s)
+    both = TwoModeCov(np.array([eve.ax, cond.ax]), eve.ap, np.array([eve.bx, cond.bx]), eve.bp,
+                      np.array([eve.cx, cond.cx]), eve.cp)
+    (g_eve_p, g_cond_p), (g_eve_m, g_cond_m) = von_neumann_g(np.array(symplectic_eigenvalues(both)))
+    return g_eve_p + g_eve_m - g_cond_p - g_cond_m
 
 
 @dataclass(frozen=True)

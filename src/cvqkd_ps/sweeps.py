@@ -97,10 +97,15 @@ class ExperimentConfig:
         if not (math.isfinite(self.atten_db_per_km) and self.atten_db_per_km >= 0.0):
             raise ValueError("--atten-db-per-km must be finite and >= 0, "
                              f"got {self.atten_db_per_km:g}")
-        if self.experiment == "noise_grid" and not self.beta_sq_values:
-            raise ValueError("--beta-sq-values must name at least one layer")
-        if self.experiment == "photon_grid" and not self.alpha_sq_values:
-            raise ValueError("--alpha-sq-values must name at least one layer")
+        layers = {"noise_grid": ("--beta-sq-values", self.beta_sq_values),
+                  "photon_grid": ("--alpha-sq-values", self.alpha_sq_values)}
+        if self.experiment in layers:
+            flag, values = layers[self.experiment]
+            if not values:
+                raise ValueError(f"{flag} must name at least one layer")
+            for value in values:
+                if not (math.isfinite(value) and value >= 0.0):
+                    raise ValueError(f"{flag} must be finite and >= 0, got {value:g}")
 
     def _bounds(self) -> tuple:
         """(start, stop, points), the experiment's defaults filling the gaps."""
@@ -131,7 +136,7 @@ def _cfg_for(config: ExperimentConfig, scheme: str, **overrides) -> SchemeConfig
     return dataclasses.replace(config.base, scheme=scheme, **overrides)
 
 
-def _metadata(config: ExperimentConfig) -> dict:
+def _metadata(config: ExperimentConfig, axis: np.ndarray) -> dict:
     md = {
         "experiment": config.experiment,
         "schemes": ",".join(config.schemes),
@@ -141,9 +146,9 @@ def _metadata(config: ExperimentConfig) -> dict:
         "recon_eff": config.base.recon_eff,
         "trunc_n": config.base.trunc_n,
         "backend": "exact",
-        "start": config.axis()[0],
-        "stop": config.axis()[-1],
-        "points": len(config.axis()),
+        "start": axis[0],
+        "stop": axis[-1],
+        "points": len(axis),
         "log_axis": config.log_axis,
         "version": __version__,
     }
@@ -175,7 +180,7 @@ def run_experiment(config: ExperimentConfig) -> SweepResult:
         rows = [(m.sigma_b, s, per_scheme[i].rate, per_scheme[i].rate_normalized)
                 for i, m in enumerate(models) for s, per_scheme in zip(schemes, averages)]
         columns = ("sigma_b", "scheme", "k_avg", "k_avg_normalized")
-        return SweepResult(metadata=_metadata(config), columns=columns, rows=tuple(rows))
+        return SweepResult(metadata=_metadata(config, axis), columns=columns, rows=tuple(rows))
 
     if config.experiment == "transmissivity_sweep":
         t_axis = [float(t) for t in axis]
@@ -197,7 +202,7 @@ def run_experiment(config: ExperimentConfig) -> SweepResult:
         rows += [tuple(layer.values()) + point + (s,)
                  + tuple(float(getattr(kr, c)[j]) for c in fields)
                  for j, point in enumerate(points) for s, kr in zip(schemes, per_scheme)]
-    return SweepResult(metadata=_metadata(config), columns=columns, rows=tuple(rows))
+    return SweepResult(metadata=_metadata(config, axis), columns=columns, rows=tuple(rows))
 
 
 def _fmt(value) -> str:

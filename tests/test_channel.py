@@ -423,31 +423,44 @@ def _scan_and_brent(cfg, eta0, probes=101):
                           for i in np.flatnonzero(pos[1:] != pos[:-1])]
 
 
-def test_refine_matches_scan_and_brent_over_a_config_grid():
-    seen = 0
+def _scan_size():
+    """Points of the crossing scan: _PANELS Lobatto panels sharing their ends."""
+    return 16 * channel_mod._PANELS + 1
+
+
+def test_refine_matches_scan_and_brent_over_a_config_grid(monkeypatch):
+    calls, one_call, seen = [], 0, 0
+    real = channel_mod.key_rates
+    monkeypatch.setattr(channel_mod, "key_rates", lambda c, t: calls.append(len(t)) or real(c, t))
     for scheme, alpha_sq, beta_sq, t_s, beta_r in itertools.product(
             ("nops", "tps", "rps"), (0.1, 0.5, 1.3, 3.0, 30.0),
             (0.0, 1e-6, 1e-5, 1e-4, 1e-3, 0.01, 0.1), (0.5, 0.9, 0.99), (1.0, 3.0, 0.5)):
         cfg = SchemeConfig(scheme, alpha_sq=alpha_sq, beta_sq=beta_sq, t_s=t_s)
         eta0 = weibull_params(1.0, beta_r=beta_r).eta0
-        starts, got = channel_mod._crossings(cfg, eta0, 101)
+        calls.clear()
+        starts, got = channel_mod._crossings(cfg, eta0)
         want_starts, want = _scan_and_brent(cfg, eta0)
         assert (starts, len(got)) == (want_starts, len(want)), cfg
         assert np.all(np.abs(np.subtract(got, want)) <= 2e-13), cfg
+        # a scan in T_E plus at least one refine round took 2 calls per search
+        # with a crossing (1 without); the panel scan takes no more
+        assert len(calls) <= (2 if got else 1), (cfg, calls)
+        one_call += len(calls) == 1
         seen += len(got)
     assert seen >= 900  # nearly every config has a crossing below eta0^2
+    assert one_call >= 800  # most roots are kept from the scan's own panels
 
 
 def test_crossing_in_the_first_eta_cell_takes_a_second_round(monkeypatch):
-    # rate_raw carries sqrt(T_E) terms; this crossing lies below the first
-    # scan point eta0 / 100, next to the singular end of the T_E axis
+    # rate_raw carries sqrt(T_E) terms; this crossing lies below eta0 / 100,
+    # in the first panel, next to the singular end of the T_E axis
     cfg, eta0 = SchemeConfig("rps", alpha_sq=3.0, beta_sq=1e-6, t_s=0.5), weibull_params(1.0).eta0
     sizes = []
     real = channel_mod.key_rates
     monkeypatch.setattr(channel_mod, "key_rates",
                         lambda c, t: sizes.append(len(t)) or real(c, t))
-    starts, (t_star,) = channel_mod._crossings(cfg, eta0, 101)
-    assert sizes == [101, 15, 15]
+    starts, (t_star,) = channel_mod._crossings(cfg, eta0)
+    assert sizes[0] == _scan_size() and sizes[1:] in ([], [15])
     assert math.sqrt(t_star) < eta0 / 100
     monkeypatch.undo()
     want_starts, (want,) = _scan_and_brent(cfg, eta0)
@@ -473,7 +486,7 @@ def test_two_crossings_use_the_scan_fallback(monkeypatch):
     cfg = SchemeConfig("nops")
     u1, u2 = cdf(m, math.sqrt(0.2)), cdf(m, math.sqrt(0.5))
     assert 0.0 < u1 < u2 < 1.0
-    crossings = channel_mod._crossings(cfg, m.eta0, 101)
+    crossings = channel_mod._crossings(cfg, m.eta0)
     (a1, b1), (a2, b2) = channel_mod._positive_region(m, *crossings)
     assert (a1, b2) == (0.0, 1.0)
     assert b1 == pytest.approx(u1, rel=1e-12) and a2 == pytest.approx(u2, rel=1e-12)
@@ -488,10 +501,11 @@ def test_two_crossings_use_the_scan_fallback(monkeypatch):
 
 
 def test_refine_error_names_eta0_and_the_element(monkeypatch):
-    scan = _fake_rates(lambda t: t - 0.3)
+    # a kink at the root: no panel interpolant resolves it, so a refine round runs
+    scan = _fake_rates(lambda t: np.where(t < 0.3, t - 0.3, 2.0 * (t - 0.3)))
 
     def boom(cfg, t):
-        if len(t) == 101:
+        if len(t) == _scan_size():
             return scan(cfg, t)
         exc = NumericalDomainError("synthetic failure")
         exc.index = 7
@@ -527,9 +541,9 @@ def test_default_average_evaluation_count(monkeypatch, scheme, sigma_b):
 
     monkeypatch.setattr(channel_mod, "key_rates", counting)
     average_key_rates(SchemeConfig(scheme), weibull_params(sigma_b), QuadratureSpec(200))
-    # the scan, one refine round of 15 new Lobatto points for the one
-    # crossing, and one array call of the whole node budget on one segment
-    assert sizes == [101, 15, 200]
+    # the scan, whose panel keeps the one crossing, and one array call of
+    # the whole node budget on one segment
+    assert sizes == [_scan_size(), 200]
 
 
 # ------------------------------------------------- many models in one call
@@ -571,9 +585,8 @@ def test_default_satellite_sweep_finds_each_crossing_once(monkeypatch, tmp_path)
     monkeypatch.setattr(channel_mod, "key_rates", counting)
     cli_main(["satellite-sweep", "--out", str(tmp_path / "sat.csv")])
     for scheme in ("nops", "tps", "rps"):
-        # one scan and one refine round for all 40 sigma_b, then one node
-        # call for all 40 averages
-        assert [n for s, n in calls if s == scheme] == [101, 15, 40 * 200]
+        # one scan for all 40 sigma_b, then one node call for all 40 averages
+        assert [n for s, n in calls if s == scheme] == [_scan_size(), 40 * 200]
 
 
 def test_error_names_the_model_of_the_failing_node(monkeypatch):

@@ -2,16 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cvqkd_ps.channel as channel_mod
+import cvqkd_ps.keyrate as keyrate_mod
+from cvqkd_ps.exact import exact_summary
 from cvqkd_ps.keyrate import key_rate_from_summary
 from cvqkd_ps import (
+    SCHEMES,
     CovarianceSummary,
     NumericalDomainError,
     SchemeConfig,
     TwoModeCov,
     conditional_cov_ef_given_b2,
     eve_cov,
+    holevo_bound,
     key_rate,
     key_rates,
     mutual_information,
@@ -114,6 +120,40 @@ def test_noisy_measurement_limit():
     assert cond.ax == pytest.approx(ref.ax, abs=1e-10)
     assert cond.bx == pytest.approx(ref.bx, abs=1e-10)
     assert cond.cx == pytest.approx(ref.cx, abs=1e-10)
+
+
+def _holevo_block_by_block(s):
+    """chi with one symplectic_eigenvalues call per block, in the same g order."""
+    g = [von_neumann_g(v) for m in (eve_cov(s), conditional_cov_ef_given_b2(s))
+         for v in symplectic_eigenvalues(m)]
+    return g[0] + g[1] - g[2] - g[3]
+
+
+@settings(max_examples=200, deadline=None)
+@given(scheme=st.sampled_from(SCHEMES), alpha_sq=st.floats(0.0, 1e5),
+       beta_sq=st.floats(0.0, 0.1), t_s=st.floats(0.0, 1.0),
+       t_e=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+def test_stacked_bound_equals_one_point_calls(scheme, alpha_sq, beta_sq, t_s, t_e):
+    cfg = SchemeConfig(scheme, alpha_sq=alpha_sq, beta_sq=beta_sq, t_s=t_s)
+    t = np.array(t_e + [0.0, 1.0])
+    got = holevo_bound(exact_summary(cfg, t))
+    want = [_holevo_block_by_block(exact_summary(cfg, t[i:i + 1]))[0] for i in range(len(t))]
+    assert list(got) == want
+
+
+def test_a_failing_conditional_block_names_its_own_element(monkeypatch):
+    # Eve's block is physical (pure) everywhere; given x_B2 it is not at k only
+    n, k = 5, 3
+    t = np.linspace(0.1, 0.9, n)
+    c_fb2 = np.where(np.arange(n) == k, 1.0, 0.0)
+    s = CovarianceSummary(*(np.full(n, v) for v in (3.6, 1.0, 1.5, 3.5, 0.0, -2.5, 0.0)),
+                          c_fb2, np.ones(n))
+    monkeypatch.setattr(keyrate_mod, "exact_summary", lambda cfg, t_e: s)
+    with pytest.raises(NumericalDomainError) as err:
+        key_rates(SchemeConfig("nops"), t)
+    assert err.value.index == k
+    assert "Delta^2 - 4 det M = -7.750e+00 (scheme=nops, t_e=" in str(err.value)
+    assert str(err.value).endswith(f"(scheme=nops, t_e={t[k]})")
 
 
 @pytest.mark.parametrize("trunc_n,tol", [(20, 1e-10), (50, 1e-6)])

@@ -279,6 +279,46 @@ def test_cli_rejects_an_empty_layer_list(tmp_path, command, flag):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    ("noise-grid", "--beta-sq-values", "-1"),
+    ("noise-grid", "--beta-sq-values", "0.01,nan"),
+    ("photon-grid", "--alpha-sq-values", "nan"),
+    ("photon-grid", "--alpha-sq-values", "1.3,-inf"),
+])
+def test_cli_rejects_an_invalid_layer_value(tmp_path, command, flag, value):
+    out = tmp_path / "out.csv"
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{flag[2:]} = {value}\n")
+    bad = value.split(",")[-1]
+    for argv in ([f"{flag}={value}"], ["--config", str(cfg_file)]):
+        with pytest.raises(ValueError) as err:
+            cli_main([command] + argv + ["--out", str(out)])
+        assert str(err.value) == f"{flag} must be finite and >= 0, got {bad}"
+        assert not out.exists()
+
+
+_SWITCH_RUNS = {"log_axis": ["transmissivity-sweep", "--start", "0.1", "--stop", "0.5",
+                             "--points", "2"],
+                "clamp_negative": ["satellite-closeup", "--scheme", "nops", "--points", "1",
+                                   "--nodes", "16"]}
+
+
+@pytest.mark.parametrize("key", sorted(_SWITCH_RUNS))
+def test_cli_config_file_switch_words(tmp_path, key):
+    cfg_file, out = tmp_path / "run.cfg", tmp_path / "out.csv"
+    for word, on in (("1", True), ("TRUE", True), ("Yes", True), ("on", True),
+                     ("0", False), ("False", False), ("NO", False), ("off", False)):
+        cfg_file.write_text(f"{key} = {word}\n")
+        cli_main(_SWITCH_RUNS[key] + ["--config", str(cfg_file), "--out", str(out)])
+        assert parse_csv(out).metadata[key] == ("true" if on else "false"), word
+    out.unlink()
+    cfg_file.write_text(f"{key} = ture\n")
+    with pytest.raises(ValueError) as err:
+        cli_main(_SWITCH_RUNS[key] + ["--config", str(cfg_file), "--out", str(out)])
+    assert repr(key) in str(err.value) and "'ture'" in str(err.value)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", sorted(cli._EXPERIMENT_FOR_COMMAND))
 def test_cli_defaults_are_the_dataclass_defaults(command):
     experiment = cli._EXPERIMENT_FOR_COMMAND[command]
