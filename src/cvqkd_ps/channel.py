@@ -136,8 +136,13 @@ def _log_laws(model: FadingModel, eta):
     and ln pdf, with y = 2 (ln eta0 - ln eta) (finite at subnormal eta)."""
     eta = np.asarray(eta, dtype=float)
     inside = ~((eta <= 0.0) | (eta >= model.eta0))
-    ln_eta = np.log(np.where(inside, eta, model.eta0 / 2.0))
-    y, p = 2.0 * (math.log(model.eta0) - ln_eta), 2.0 / model.lambda_shape
+    half = model.eta0 / 2.0
+    x = np.where(inside, eta, half)
+    ln_eta = np.log(x)
+    # ln eta0 - ln eta rounds to 0 an ulp below eta0; above eta0 / 2, eta - eta0 is exact
+    y = np.where(x > half, -2.0 * np.log1p((np.maximum(x, half) - model.eta0) / model.eta0),
+                 2.0 * (math.log(model.eta0) - ln_eta))
+    p = 2.0 / model.lambda_shape
     log_cdf = -model.l_scale**2 / (2.0 * model.sigma_b**2) * y**p
     return eta, inside, log_cdf, log_cdf + (p - 1.0) * np.log(y) - ln_eta + math.log(
         2.0 * model.l_scale**2 / (model.sigma_b**2 * model.lambda_shape))

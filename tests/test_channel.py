@@ -256,6 +256,21 @@ def test_cdf_round_trip_over_beam_geometries(beta_r, w, sigma_b, u):
     assert abs(cdf(m, eta) - u) <= 1e-12 + spread
 
 
+@pytest.mark.parametrize("beta_r", [0.0546875, 1.0, 30.0])
+def test_laws_an_ulp_below_eta0(beta_r):
+    # ln eta0 - ln eta rounds to 0 there, and ln y of it raised a divide-by-zero
+    m = weibull_params(1.0, beta_r=beta_r)
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        for eta in np.nextafter(m.eta0, 0.0) * np.array([1.0, 1.0 - 4 * EPS, 0.75, 0.5]):
+            y, p = 2 * mp.log(mp.mpf(m.eta0) / mp.mpf(eta)), mp.mpf(2) / m.lambda_shape
+            a = mp.mpf(m.l_scale) ** 2 / (2 * mp.mpf(m.sigma_b) ** 2)
+            want_cdf = mp.exp(-a * y**p)
+            want_pdf = want_cdf * 2 * a * p * y ** (p - 1) / eta
+            assert cdf(m, eta) == pytest.approx(float(want_cdf), rel=1e-13)
+            assert pdf(m, eta) == pytest.approx(float(want_pdf), rel=1e-12)
+
+
 def test_inverse_cdf_values():
     m = weibull_params(1.0)
     assert inverse_cdf(m, 1.0) == pytest.approx(m.eta0, rel=1e-14)
