@@ -12,10 +12,11 @@ evaluated with Gauss-Legendre nodes.  Negative key-rate bounds mean "no key",
 so by default they are clamped to zero inside the average (the raw signed
 integral stays available via clamp_negative=False): the key rate depends on
 u only through T_E = eta(u)^2, which rises with u, so its zero crossings are
-found in eta = sqrt(T_E) by a scan on Chebyshev-Lobatto panels whose
-interpolants give the roots (stacked refine rounds only where a root is not
-yet resolved), then mapped to u with the CDF; they depend on the law only
-through eta0, so the averages of one call share them.
+found in eta = sqrt(T_E) by a scan on Chebyshev-Lobatto panels, whose
+interpolants give the roots by safeguarded Newton steps (stacked refine
+rounds only where a root is not yet resolved), then mapped to u with the
+CDF; they depend on the law only through eta0, so the averages of one call
+share them.
 """
 
 from __future__ import annotations
@@ -74,6 +75,9 @@ def bessel_ive(order: int, x: float) -> float:
     return _bessel_hankel_scaled(order, x)
 
 
+_SIGMA_B_MIN = 1e-150  # sigma_b^2 within 1e-300 and 1e300; the laws fail from 1e154 on
+
+
 @dataclass(frozen=True)
 class FadingModel:
     """Log-negative Weibull fading law for given beam geometry.
@@ -107,6 +111,9 @@ def weibull_params(sigma_b: float, beta_r: float = 1.0, w: float = 1.0) -> Fadin
             raise ValueError(f"{name} must be finite")
     if sigma_b <= 0 or beta_r <= 0 or w <= 0:
         raise ValueError("sigma_b, beta_r and w must all be positive")
+    if not _SIGMA_B_MIN <= sigma_b <= 1.0 / _SIGMA_B_MIN:
+        raise ValueError(f"sigma_b={sigma_b:g} out of range [{_SIGMA_B_MIN:g}, "
+                         f"{1.0 / _SIGMA_B_MIN:g}]: its square under- or overflows in the laws")
     h = (beta_r / w) ** 2
     eta0_sq = 1.0 - math.exp(-2.0 * h)
     denom = 1.0 - bessel_ive(0, 4.0 * h)
@@ -170,12 +177,16 @@ def inverse_cdf(model: FadingModel, u):
     if not np.all((u > 0.0) & (u <= 1.0)):
         raise ValueError("u must lie in (0, 1]")
     x = 2.0 * model.sigma_b**2 * (-np.log(u)) / model.l_scale**2
-    return model.eta0 * np.exp(-0.5 * x ** (model.lambda_shape / 2.0))
+    with np.errstate(over="ignore"):  # eta is 0 where x^(lambda/2) overflows
+        return model.eta0 * np.exp(-0.5 * x ** (model.lambda_shape / 2.0))
 
 
 def distance_to_transmissivity(d_km: float, atten_db_per_km: float) -> float:
     """Fixed-attenuation channel: T_E = 10^(-d * atten / 10)."""
-    if d_km < 0 or atten_db_per_km < 0:
+    if not (0.0 <= d_km < math.inf and 0.0 <= atten_db_per_km < math.inf):  # NaN too
+        for name, value in (("d_km", d_km), ("atten_db_per_km", atten_db_per_km)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value:g}")
         raise ValueError("distance and attenuation must be >= 0")
     return 10.0 ** (-d_km * atten_db_per_km / 10.0)
 
@@ -213,8 +224,7 @@ def _unit_interval_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return u, w / 2.0
 
 
-_ROOT_XTOL = 1e-14
-_ROOT_MAX_STEPS = 100
+_NEWTON_STEPS = 60  # bisection alone narrows a cell to 1e-15 in s within 48
 _ROOT_TTOL, _REFINE_ROUNDS = 1e-12, 4  # the refine's error bound on T* and its round cap
 _PANELS = 24  # scan panels, 16 _PANELS + 1 points; more cost more than the rare refine they save
 
@@ -232,52 +242,37 @@ def _rates(cfg: SchemeConfig, t, stage: str, labels: list, starts: list, u=None)
             f"{exc} at {labels[k]}, {stage} {i - starts[k]} ({at})") from exc
 
 
-def _brent(f, a: float, b: float, fa: float, fb: float) -> float:
-    """Zero of f between a and b, where fa = f(a) and fb = f(b) differ in sign
-    or vanish: Brent's method (inverse quadratic interpolation or secant
-    steps, bisection whenever they would not shrink the bracket fast enough;
-    Brent, Algorithms for Minimization without Derivatives, 1973, ch. 4)."""
-    if fa == 0.0:
-        return a
-    c, fc, d, e = a, fa, b - a, b - a
-    for _ in range(_ROOT_MAX_STEPS):
-        if fb == 0.0:
-            return b
-        if (fb > 0.0) == (fc > 0.0):  # keep the root between b and c
-            c, fc, d, e = a, fa, b - a, b - a
-        if abs(fc) < abs(fb):  # b is the best estimate so far
-            a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
-        tol = 2.0 * np.finfo(float).eps * abs(b) + 0.5 * _ROOT_XTOL
-        m = 0.5 * (c - b)
-        if abs(m) <= tol:
-            return b
-        if abs(e) >= tol and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:  # secant
-                p, q = 2.0 * m * s, 1.0 - s
-            else:  # inverse quadratic interpolation
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            p, q = (p, -q) if p > 0.0 else (-p, q)
-            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = m
-        else:
-            d = e = m
-        a, fa = b, fb
-        b += d if abs(d) > tol else math.copysign(tol, m)
-        fb = f(b)
-    return b
-
-
 def _clenshaw(c: list, x: float) -> float:
     """sum_j c[j] T_j(x) by Clenshaw's recurrence."""
     b1 = b2 = 0.0
     for ck in c[:0:-1]:
         b1, b2 = 2.0 * x * b1 - b2 + ck, b1
     return x * b1 - b2 + c[0]
+
+
+def _newton(c: list, a: float, b: float, fa: float, fb: float) -> float:
+    """Zero of the interpolant sum_j c[j] T_j(s) (c[26:]: its slope series) in the
+    cell [a, b], whose samples fa and fb differ in sign: Newton steps from the secant
+    point, a bisection of the bracket that the signs keep wherever a step of over
+    1e-15 would not land inside it (a cycle between its ends too), until a step is
+    at most 1e-15."""
+    p, dp = c[:17], c[26:]
+    s = a - fa * (b - a) / (fb - fa)
+    if s in (a, b):  # a sample vanishes
+        return s
+    for _ in range(_NEWTON_STEPS):
+        f, slope = _clenshaw(p, s), _clenshaw(dp, s)
+        if (f > 0.0) == (fa > 0.0):
+            a = s
+        else:
+            b = s
+        t = s - f / slope if slope != 0.0 else math.nan
+        if not (a < t < b or abs(t - s) <= 1e-15):  # NaN too, and a cycle between the ends
+            t = (a + b) / 2.0
+        if abs(t - s) <= 1e-15:
+            return t
+        s = t
+    return s
 
 
 @lru_cache(maxsize=1)
@@ -297,8 +292,9 @@ def _crossings(cfg: SchemeConfig, eta0: float) -> tuple[bool, list]:
     eta = sqrt(T_E), where rate_raw is analytic.  The scan is round 0: _PANELS even
     panels of 17 Lobatto points each (neighbours share their ends) in one call.  Each
     sign change between adjacent samples is solved on its panel's interpolant inside
-    its own cell; a root the degree-8 interpolant moves by over _ROOT_TTOL narrows to
-    that cell, and each later round samples Lobatto points in all such cells in one call."""
+    its own cell by _newton; a root the degree-8 interpolant moves by over _ROOT_TTOL
+    narrows to that cell, and each later round samples Lobatto points in all such cells
+    in one call."""
     nodes, fit = _lobatto()
     where = [f"eta0={eta0:.6g}"]
     eta = np.append((eta0 / _PANELS) * (np.arange(_PANELS)[:, None] + (1.0 + nodes[:-1]) / 2.0),
@@ -311,7 +307,7 @@ def _crossings(cfg: SchemeConfig, eta0: float) -> tuple[bool, list]:
         brackets, coef = [], y @ fit.T
         for k, j in np.argwhere(np.diff(y > 0.0, axis=1)):
             xs, ys, c = x[k], y[k], coef[k].tolist()
-            s = _brent(lambda z: _clenshaw(c[:17], z), nodes[j], nodes[j + 1], ys[j], ys[j + 1])
+            s = _newton(c, *nodes[j:j + 2].tolist(), *ys[j:j + 2].tolist())
             root = xs[0] + (xs[-1] - xs[0]) * (1.0 + s) / 2.0
             # off by about 2 root d(eta), d(eta) = |p8| / |d p16/d eta|
             off = root * (xs[-1] - xs[0]) * abs(_clenshaw(c[17:26], s))

@@ -33,6 +33,9 @@ from .exact import CovarianceSummary, SchemeConfig, exact_summary
 _NU_CLAMP = 1e-7
 _DISC_TOL = 1e-6
 _V_A_MAX = 1e9  # beyond, Eve's O(1) conditional variances cancel from O(V_A) terms
+# beyond, Eve's nearly equal symplectic eigenvalues next to T_E = 1 lose over 1e-9
+# (the first evaluation below 1 - _NU_CLAMP comes at beta_sq ~ 510)
+_BETA_SQ_MAX = 100.0
 
 
 class NumericalDomainError(RuntimeError):
@@ -77,12 +80,16 @@ def symplectic_eigenvalues(m: TwoModeCov) -> tuple[float, float]:
     """(nu_plus, nu_minus) from the block invariants.
 
     nu^2 = (Delta +- sqrt(Delta^2 - 4 det M)) / 2 with
-    Delta = det A + det B + 2 det C.  Values within 1e-7 below 1 are clamped
-    to 1 (truncation guard); a discriminant below -1e-6 raises.
+    Delta = det A + det B + 2 det C.  The discriminant is formed as
+    (ax ap - bx bp)^2 + 4 (ax cp + bp cx)(ap cx + bx cp), equal to
+    Delta^2 - 4 det M, which cancels to rounding noise where nu+ = nu-
+    (a pure two-mode squeezed vacuum).  Values within 1e-7 below 1 are
+    clamped to 1 (truncation guard); a discriminant below -1e-6 raises.
     """
-    delta = m.ax * m.ap + m.bx * m.bp + 2.0 * m.cx * m.cp
+    det_a, det_b = m.ax * m.ap, m.bx * m.bp
+    delta = det_a + det_b + 2.0 * m.cx * m.cp
     det_m = (m.ax * m.bx - m.cx * m.cx) * (m.ap * m.bp - m.cp * m.cp)
-    disc = delta * delta - 4.0 * det_m
+    disc = (det_a - det_b) ** 2 + 4.0 * (m.ax * m.cp + m.bp * m.cx) * (m.ap * m.cx + m.bx * m.cp)
     _check(disc < -_DISC_TOL, NumericalDomainError,
            "non-physical covariance matrix: Delta^2 - 4 det M = {:.3e}", disc)
     nu_p_sq = (delta + np.sqrt(np.maximum(disc, 0.0))) / 2.0
@@ -201,10 +208,14 @@ def key_rates(cfg: SchemeConfig, t_e) -> KeyRatePoint:
     transmissivities: a KeyRatePoint of arrays.
 
     Where the tap can never fire there is no conditional state: p_sub and
-    every rate are 0.  ``cfg.trunc_n`` is not used here.  A
-    NumericalDomainError names the scheme and t_e of the first failing
-    element, and its ``index``.
+    every rate are 0.  ``cfg.trunc_n`` is not used here.  An alpha_sq or a
+    beta_sq past the range where the bound keeps its precision raises a
+    ValueError that names it.  A NumericalDomainError names the scheme and
+    t_e of the first failing element, and its ``index``.
     """
+    if cfg.beta_sq > _BETA_SQ_MAX:
+        raise ValueError(f"beta_sq={cfg.beta_sq:g} out of range: > {_BETA_SQ_MAX:g}, "
+                         "where the bound loses its precision next to T_E = 1")
     t = np.atleast_1d(np.asarray(t_e, dtype=float))
     s = exact_summary(cfg, t)
     _check(s.v_a > _V_A_MAX, ValueError, f"alpha_sq={cfg.alpha_sq:g} out of range: "

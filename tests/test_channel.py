@@ -1,6 +1,7 @@
 import decimal
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -122,6 +123,31 @@ def test_weibull_rejects_non_finite(field, value):
     args = {"sigma_b": 1.0, "beta_r": 1.0, "w": 1.0, field: value}
     with pytest.raises(ValueError, match=field):
         weibull_params(**args)
+
+
+@pytest.mark.parametrize("sigma_b", [1e-200, 1e-151, 1e151, 1e200])
+def test_weibull_rejects_sigma_b_whose_square_leaves_the_float_range(tmp_path, sigma_b):
+    with pytest.raises(ValueError, match=re.escape(f"sigma_b={sigma_b:g} out of range")):
+        weibull_params(sigma_b)
+    # a sweep rejects it before any average runs: no ZeroDivisionError or
+    # OverflowError from the laws, and no CSV
+    out = tmp_path / "out.csv"
+    ends = ["--start", f"{sigma_b:g}", "--stop", "1"] if sigma_b < 1 else [
+        "--start", "1", "--stop", f"{sigma_b:g}", "--log-axis"]
+    with pytest.raises(ValueError, match="sigma_b="):
+        cli_main(["satellite-sweep", *ends, "--points", "3", "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("beta_r", [0.05, 1.0, 3.0, 30.0])
+def test_laws_at_the_ends_of_the_sigma_b_range(beta_r):
+    for sigma_b in (1e-150, 1e150):
+        m = weibull_params(sigma_b, beta_r)
+        eta = m.eta0 * np.array([1e-300, 1e-10, 0.5, 1.0 - 1e-16])
+        assert not np.isnan(pdf(m, eta)).any() and not np.isnan(cdf(m, eta)).any()
+        for clamp in (True, False):
+            avg = average_key_rates(SchemeConfig("tps"), m, QuadratureSpec(64, clamp))
+            assert math.isfinite(avg.rate) and math.isfinite(avg.rate_normalized)
 
 
 def _scipy_weibull_shape(beta_r):
@@ -302,6 +328,14 @@ def test_distance_to_transmissivity():
         distance_to_transmissivity(-1.0, 0.2)
 
 
+@pytest.mark.parametrize("d_km,atten", [(math.nan, 0.2), (math.inf, 0.0), (math.inf, 0.2),
+                                        (1.0, math.nan), (0.0, math.inf)])
+def test_distance_to_transmissivity_rejects_non_finite_arguments(d_km, atten):
+    name = "d_km" if not math.isfinite(d_km) else "atten_db_per_km"
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        distance_to_transmissivity(d_km, atten)
+
+
 # ------------------------------------------------------------------ averaging
 
 def test_mean_loss_five_db_at_unit_wander():
@@ -402,39 +436,75 @@ def test_inverse_cdf_on_arrays_matches_scalar_calls():
         inverse_cdf(m, np.array([0.5, 0.0]))
 
 
-@pytest.mark.parametrize("f,a,b", [
-    (math.cos, 0.0, 2.0),
-    (lambda x: x**3 - 2 * x - 5, 2.0, 3.0),
-    (lambda x: math.exp(x) - 1e-3, -10.0, 1.0),
-    (lambda x: math.tanh(50.0 * (x - 0.3)), 0.0, 1.0),  # flat ends: bisection takes over
-])
-def test_brent_step_matches_scipy(f, a, b):
+def _panel_interpolant(f, a, b):
+    """Samples of f at the 17 Lobatto points of [a, b] and the coefficient rows of
+    their Chebyshev interpolant in s in [-1, 1] (value, degree 8, slope)."""
+    nodes, fit = channel_mod._lobatto()
+    y = np.array([f(x) for x in a + (b - a) * (1.0 + nodes) / 2.0])
+    return y, (fit @ y).tolist()
+
+
+# The polish of each crossing, channel._newton, against scipy's Brent (brentq).
+@pytest.mark.parametrize("f,a,b,leaves", [
+    (math.cos, 0.0, 2.0, False),
+    (lambda x: x**3 - 2 * x - 5, 2.0, 3.0, False),
+    (lambda x: math.exp(x) - 1e-3, -10.0, 1.0, True),
+    (lambda x: math.tanh(50.0 * (x - 0.3)), 0.0, 1.0, True),  # flat ends
+], ids=["cos-0.0-2.0", "<lambda>-2.0-3.0", "<lambda>--10.0-1.0", "<lambda>-0.0-1.0"])
+def test_brent_step_matches_scipy(monkeypatch, f, a, b, leaves):
     from scipy.optimize import brentq
 
-    steps = []
-    got = channel_mod._brent(lambda x: steps.append(x) or f(x), a, b, f(a), f(b))
-    assert got == pytest.approx(brentq(f, a, b, xtol=1e-14), abs=1e-13)
-    assert len(steps) < channel_mod._ROOT_MAX_STEPS
+    cheb = np.polynomial.chebyshev
+    y, c = _panel_interpolant(f, a, b)
+    assert np.allclose(c[26:], [*cheb.chebder(c[:17]), 0.0], rtol=0, atol=1e-12 * np.abs(c).max())
+    # bracketed by the whole panel; where Newton's first step from the secant
+    # point leaves it, only the bisection branch keeps the root
+    s0 = -1.0 - 2.0 * y[0] / (y[-1] - y[0])
+    assert (abs(s0 - cheb.chebval(s0, c[:17]) / cheb.chebval(s0, c[26:])) > 1.0) == leaves
+    steps, real = [], channel_mod._clenshaw
+    monkeypatch.setattr(channel_mod, "_clenshaw", lambda c, s: steps.append(s) or real(c, s))
+    got = channel_mod._newton(c, -1.0, 1.0, y[0], y[-1])
+    assert got == pytest.approx(brentq(lambda s: cheb.chebval(s, c[:17]), -1.0, 1.0, xtol=1e-14),
+                                abs=1e-13)
+    assert len(steps) <= 20  # at most 10 steps of 2 evaluations, far below the cap
+
+
+def test_newton_returns_a_vanishing_sample():
+    # without noise rate_raw has a double zero at T_E = 0, sampled as exactly
+    # 0; there the interpolant reads about -5e-20, so Newton steps would creep
+    # towards the zero and stop near T_E ~ 1e-19.  The sample is the root.
+    cfg, eta0 = SchemeConfig("tps", beta_sq=0.0), weibull_params(1.0).eta0
+    assert channel_mod._crossings(cfg, eta0) == (False, [0.0])
 
 
 def test_brent_step_on_the_key_rate_crossing():
     from scipy.optimize import brentq
 
+    # the default scan's panel that holds the rps crossing, T* ~ 0.0069
     cfg = SchemeConfig("rps")
     f = lambda t: key_rate(cfg, t).rate_raw  # noqa: E731
-    got = channel_mod._brent(f, 0.0, 0.02, f(0.0), f(0.02))
-    assert got == pytest.approx(brentq(f, 0.0, 0.02, xtol=1e-15), abs=1e-14)
+    want = brentq(f, 0.0, 0.02, xtol=1e-15)
+    width = weibull_params(1.0).eta0 / channel_mod._PANELS
+    lo = width * (math.sqrt(want) // width)
+    y, c = _panel_interpolant(lambda eta: f(eta**2), lo, lo + width)
+    (j,) = np.flatnonzero(np.diff(y > 0.0))
+    nodes = channel_mod._lobatto()[0]
+    s = channel_mod._newton(c, nodes[j], nodes[j + 1], y[j], y[j + 1])
+    got = (lo + width * (1.0 + s) / 2.0) ** 2
+    assert got == pytest.approx(want, abs=1e-14)
     assert abs(f(got)) < 1e-13
 
 
 def _scan_and_brent(cfg, eta0, probes=101):
-    """The crossings by a scan in T_E and a Brent step on key_rate in each
-    bracket: the oracle of the stacked refine."""
+    """The crossings by a scan in T_E and scipy's Brent on key_rate in each
+    bracket: the oracle of the panel search."""
+    from scipy.optimize import brentq
+
     t = np.linspace(0.0, eta0**2, probes)
     f = key_rates(cfg, t).rate_raw
     g = lambda x: key_rate(cfg, x).rate_raw  # noqa: E731
     pos = f > 0.0
-    return bool(pos[0]), [channel_mod._brent(g, t[i], t[i + 1], f[i], f[i + 1])
+    return bool(pos[0]), [brentq(g, t[i], t[i + 1], xtol=1e-14)
                           for i in np.flatnonzero(pos[1:] != pos[:-1])]
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -70,6 +71,32 @@ def test_matches_generic_eigensolver():
 
 
 # ----------------------------------------------------------------- entropy g
+
+_NEAR_ONE = 1.0 - np.concatenate([[0.0], np.geomspace(1e-16, 1e-2, 29)])
+
+
+@pytest.mark.parametrize("beta_sq,tol", [(1e-3, 1e-15), (10.0, 1e-11), (100.0, 1e-8)])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_symplectic_eigenvalues_next_to_full_transmission(scheme, beta_sq, tol):
+    # next to T_E = 1 Eve's block is nearly a pure two-mode squeezed vacuum,
+    # nu+ ~ nu-, and Delta^2 - 4 det M cancels; against the same entries in
+    # 40-digit arithmetic
+    import mpmath
+
+    mpmath.mp.dps = 40
+    s = exact_summary(SchemeConfig(scheme, beta_sq=beta_sq), _NEAR_ONE)
+    for block in (eve_cov(s), conditional_cov_ef_given_b2(s)):
+        entries = [np.broadcast_to(getattr(block, k), _NEAR_ONE.shape)
+                   for k in ("ax", "ap", "bx", "bp", "cx", "cp")]
+        got = symplectic_eigenvalues(TwoModeCov(*entries))
+        for i in range(len(_NEAR_ONE)):
+            ax, ap, bx, bp, cx, cp = (mpmath.mpf(float(e[i])) for e in entries)
+            delta = ax * ap + bx * bp + 2 * cx * cp
+            root = mpmath.sqrt(delta**2 - 4 * (ax * bx - cx**2) * (ap * bp - cp**2))
+            for nu, want in zip(got, (mpmath.sqrt((delta + root) / 2),
+                                      mpmath.sqrt((delta - root) / 2))):
+                assert abs(nu[i] - want) <= tol * want, (i, nu[i], want)
+
 
 def test_g_values():
     assert von_neumann_g(1.0) == 0.0
@@ -246,6 +273,37 @@ def test_batch_matches_sequential():
     grid = [0.2, 0.5, 0.9]
     batch = key_rates(cfg, grid)
     assert [batch.at(i) for i in range(len(grid))] == [key_rate(cfg, t) for t in grid]
+
+
+@pytest.mark.parametrize("beta_sq", [10.0, 30.0, 100.0])
+@pytest.mark.parametrize("scheme", ["tps", "rps"])
+def test_full_transmission_at_strong_noise_matches_the_oracles(scheme, beta_sq):
+    # at T_E = 1, Eve's TMSV never meets B: I and p_sub are those of a
+    # noiseless channel (the naive Fock pipeline with Eve in vacuum), and
+    # conditioning on B2 leaves Eve's block as it is (the Gaussian toolbox)
+    kr = key_rate(SchemeConfig(scheme, alpha_sq=0.3, beta_sq=beta_sq), 1.0)
+    naive = oracles.naive_key_rate(scheme, 0.3, 0.0, 0.9, 1.0, 24)
+    eve = oracles.tmsv_cm(1.0 + 2.0 * beta_sq)
+    m = np.zeros((8, 8))
+    m[:4, :4], m[4:, 4:] = oracles.tmsv_cm(1.0 + 2.0 * 0.3), eve  # (A, B2) and (E, F)
+    cond = oracles.homodyne_x_condition(m, keep=(2, 3), meas=1)
+    chi = (sum(oracles.naive_g(v) for v in oracles.sympl_eigs(eve))
+           - sum(oracles.naive_g(v) for v in oracles.sympl_eigs(cond)))
+    assert kr.i_g == pytest.approx(naive["i_g"], abs=1e-12)
+    assert kr.p_sub == pytest.approx(naive["p"], abs=1e-14)
+    assert kr.chi_g == pytest.approx(chi, abs=1e-9)
+    assert kr.rate_raw == pytest.approx(0.95 * naive["i_g"] - chi, abs=1e-9)
+
+
+def test_beta_sq_past_the_measured_limit_is_rejected_by_name():
+    # up to the limit every scheme evaluates on a grid dense next to T_E = 1
+    t = np.union1d(np.linspace(0.0, 1.0, 401), _NEAR_ONE)
+    for scheme in SCHEMES:
+        for alpha_sq in (0.0, 0.1, 1.3, 1e3):
+            key_rates(SchemeConfig(scheme, alpha_sq=alpha_sq, beta_sq=100.0), t)
+    for beta_sq in (100.5, 1e3, 1e200):
+        with pytest.raises(ValueError, match=re.escape(f"beta_sq={beta_sq:g} out of range")):
+            key_rates(SchemeConfig("tps", beta_sq=beta_sq), [0.5])
 
 
 def test_error_paths():

@@ -297,6 +297,26 @@ def test_cli_rejects_an_invalid_layer_value(tmp_path, command, flag, value):
         assert not out.exists()
 
 
+def test_cli_rejects_beta_sq_out_of_range_by_name(tmp_path):
+    # the parent code wrote nan cells for nops and tps here and exited 0
+    out = tmp_path / "out.csv"
+    for argv in (["distance-sweep", "--beta-sq", "1e200", "--points", "3"],
+                 ["noise-grid", "--beta-sq-values", "0.001,1e3", "--points", "3"]):
+        with pytest.raises(ValueError, match=r"^beta_sq=(1e\+200|1000) out of range"):
+            cli_main(argv + ["--out", str(out)])
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["transmissivity-sweep", "distance-sweep", "noise-grid"])
+def test_cli_strong_noise_reaching_full_transmission_gives_finite_cells(tmp_path, command):
+    # each sweep holds T_E = 1, where Eve's block is a pure TMSV (nu+ = nu-)
+    flag = ["--beta-sq-values", "0.001,10"] if command == "noise-grid" else ["--beta-sq", "10"]
+    out = tmp_path / "out.csv"
+    cli_main([command, *flag, "--points", "6", "--out", str(out)])
+    rows = parse_csv(out).rows
+    assert rows and all(math.isfinite(v) for row in rows for v in row if isinstance(v, float))
+
+
 _SWITCH_RUNS = {"log_axis": ["transmissivity-sweep", "--start", "0.1", "--stop", "0.5",
                              "--points", "2"],
                 "clamp_negative": ["satellite-closeup", "--scheme", "nops", "--points", "1",
