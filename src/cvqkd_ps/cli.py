@@ -8,22 +8,18 @@ entries are overridden by explicit flags.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from functools import lru_cache
 
 from .channel import QuadratureSpec
 from .exact import SCHEMES, SchemeConfig
-from .sweeps import DEFAULT_AXES, ExperimentConfig, emit_csv, run_experiment
+from .sweeps import EXPERIMENTS, ExperimentConfig, emit_csv, run_experiment
 
-_EXPERIMENT_FOR_COMMAND = {
-    "transmissivity-sweep": "transmissivity_sweep",
-    "distance-sweep": "distance_sweep",
-    "noise-grid": "noise_grid",
-    "photon-grid": "photon_grid",
-    "satellite-sweep": "satellite_sweep",
-    "satellite-closeup": "satellite_closeup",
-}
-
+# SchemeConfig fields with a flag each, except the one a grid's layers vary
+_BASE_FLAGS = (("alpha_sq", "Alice mean photon number"), ("beta_sq", "Eve mean photon number"),
+               ("t_s", "tap beam-splitter transmissivity"),
+               ("recon_eff", "reconciliation efficiency"))
 
 _SWITCH_WORDS = {"1": True, "true": True, "yes": True, "on": True,
                  "0": False, "false": False, "no": False, "off": False}
@@ -61,19 +57,17 @@ def _file_value(action: argparse.Action, text: str):
     return action.type(text)
 
 
-def _add_common(p: argparse.ArgumentParser, command: str) -> None:
-    exp = _EXPERIMENT_FOR_COMMAND[command]
-    start, stop, points = DEFAULT_AXES[exp]
-    defaults = ExperimentConfig(exp)  # the flags' defaults are the dataclasses' own
+def _add_common(p: argparse.ArgumentParser, name: str) -> None:
+    kind = EXPERIMENTS[name]
+    start, stop, points = kind.default
+    defaults = ExperimentConfig(name)  # the flags' defaults are the dataclasses' own
     base, quad = defaults.base, defaults.quad
     p.add_argument("--scheme", action="append", choices=SCHEMES, dest="scheme",
                    help="scheme to evaluate; repeatable (default: all three)")
-    p.add_argument("--alpha-sq", type=float, default=base.alpha_sq,
-                   help="Alice mean photon number")
-    p.add_argument("--beta-sq", type=float, default=base.beta_sq, help="Eve mean photon number")
-    p.add_argument("--t-s", type=float, default=base.t_s, help="tap beam-splitter transmissivity")
-    p.add_argument("--recon-eff", type=float, default=base.recon_eff,
-                   help="reconciliation efficiency")
+    for dest, text in _BASE_FLAGS:
+        if dest != kind.layer:
+            p.add_argument("--" + dest.replace("_", "-"), type=float,
+                           default=getattr(base, dest), help=text)
     p.add_argument("--trunc", type=int, default=base.trunc_n,
                    help="Fock cutoff of the reference pipeline, recorded in the output; "
                         "key rates are computed exactly, without truncation")
@@ -84,19 +78,16 @@ def _add_common(p: argparse.ArgumentParser, command: str) -> None:
                    help="space axis points geometrically")
     p.add_argument("--threads", type=int, default=defaults.threads,
                    help="accepted (>= 1); has no effect")
-    p.add_argument("--out", type=str, default=f"{exp}.csv", help="output CSV path")
+    p.add_argument("--out", type=str, default=f"{name}.csv", help="output CSV path")
     p.add_argument("--config", type=str, default=None,
                    help="plain-text config file (key = value); flags override")
-    if exp in ("distance_sweep", "noise_grid", "photon_grid"):
+    if kind.axis == "distance_km":
         p.add_argument("--atten-db-per-km", type=float, default=defaults.atten_db_per_km,
                        help="fixed channel attenuation")
-    if exp == "noise_grid":
-        p.add_argument("--beta-sq-values", type=_float_list, default=defaults.beta_sq_values,
-                       help="comma-separated noise layers")
-    if exp == "photon_grid":
-        p.add_argument("--alpha-sq-values", type=_float_list, default=defaults.alpha_sq_values,
-                       help="comma-separated source-strength layers")
-    if exp.startswith("satellite"):
+    if kind.layer:
+        p.add_argument(f"--{kind.layer.replace('_', '-')}-values", type=_float_list,
+                       default=defaults.layers(), help=f"comma-separated {kind.layer} layers")
+    if kind.axis == "sigma_b":
         p.add_argument("--beta-r", type=float, default=defaults.beta_r, help="aperture radius")
         p.add_argument("--beam-w", type=float, default=defaults.beam_w, help="beam-spot radius")
         p.add_argument("--nodes", type=int, default=quad.node_count,
@@ -113,9 +104,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {}
-    for command in _EXPERIMENT_FOR_COMMAND:
-        sp = sub.add_parser(command, help=f"run the {command} experiment")
-        _add_common(sp, command)
+    for name in EXPERIMENTS:
+        command = name.replace("_", "-")
+        # no abbreviations: photon-grid would read --alpha-sq as --alpha-sq-values
+        sp = sub.add_parser(command, help=f"run the {command} experiment", allow_abbrev=False)
+        _add_common(sp, name)
         commands[command] = sp
     return parser, commands
 
@@ -127,39 +120,15 @@ def _shared_parser() -> tuple[argparse.ArgumentParser, dict]:
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    exp = _EXPERIMENT_FOR_COMMAND[args.command]
+    name, given = args.command.replace("-", "_"), vars(args)
     schemes = tuple(args.scheme) if args.scheme else SCHEMES
-    base = SchemeConfig(
-        scheme=schemes[0],
-        alpha_sq=args.alpha_sq,
-        beta_sq=args.beta_sq,
-        t_s=args.t_s,
-        recon_eff=args.recon_eff,
-        trunc_n=args.trunc,
-    )
-    kwargs = dict(
-        experiment=exp,
-        schemes=schemes,
-        base=base,
-        start=args.start,
-        stop=args.stop,
-        points=args.points,
-        log_axis=args.log_axis,
-        threads=args.threads,
-    )
-    if hasattr(args, "atten_db_per_km"):
-        kwargs["atten_db_per_km"] = args.atten_db_per_km
-    if hasattr(args, "beta_sq_values"):
-        kwargs["beta_sq_values"] = tuple(args.beta_sq_values)
-    if hasattr(args, "alpha_sq_values"):
-        kwargs["alpha_sq_values"] = tuple(args.alpha_sq_values)
-    if hasattr(args, "beta_r"):
-        kwargs["beta_r"] = args.beta_r
-        kwargs["beam_w"] = args.beam_w
-        kwargs["quad"] = QuadratureSpec(
-            node_count=args.nodes, clamp_negative=args.clamp_negative
-        )
-    return ExperimentConfig(**kwargs)
+    base = SchemeConfig(schemes[0], trunc_n=args.trunc,
+                        **{dest: given[dest] for dest, _ in _BASE_FLAGS if dest in given})
+    # every other flag but --nodes and --clamp-negative sets the field of its name
+    own = {f.name: given[f.name] for f in dataclasses.fields(ExperimentConfig) if f.name in given}
+    if EXPERIMENTS[name].axis == "sigma_b":
+        own["quad"] = QuadratureSpec(node_count=args.nodes, clamp_negative=args.clamp_negative)
+    return ExperimentConfig(name, schemes, base, **own)
 
 
 def main(argv=None) -> int:

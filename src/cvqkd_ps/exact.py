@@ -149,28 +149,24 @@ def exact_summary(cfg: SchemeConfig, t_e):
     ``t_e`` is a float or a 1-D array; for an array every field is an array
     over its elements.  Where the tap can never fire (no photon reaches it,
     e.g. tps with alpha_sq = 0 or rps with beta_sq = 0 at t_e = 0) there is
-    no conditional state: a float ``t_e`` gives None, an array element gets
-    p_sub = 0 and vacuum moments, for which every rate is 0.  ``cfg.trunc_n``
-    plays no part.
+    no conditional state: that element, float or array, gets p_sub = 0 and
+    vacuum moments, for which every rate is 0.  ``cfg.trunc_n`` plays no
+    part.
     """
     t = np.atleast_1d(np.asarray(t_e, dtype=float))
     if not ((t >= 0.0) & (t <= 1.0)).all():
         raise ValueError("t_e must lie in [0, 1]")
     a, b = cfg.alpha_sq, cfg.beta_sq
-    r, p_sub = 1.0, 1.0  # r: the amplitude that reaches the tap, 0 where it never fires
+    p_sub = 1.0
     if cfg.scheme == NO_PS:
         q = _channel(_Moments(a, a, b, b, math.sqrt(a * (1.0 + a)), math.sqrt(b * (1.0 + b)),
                               0.0, 0.0), t)
     else:
-        g = _seen_from_b(a, b, t if cfg.scheme == R_PS else 1.0)
-        r = g[0]
-        q, p_sub = _tap(g, cfg.t_s)
+        q, p_sub = _tap(_seen_from_b(a, b, t if cfg.scheme == R_PS else 1.0), cfg.t_s)
         if cfg.scheme == T_PS:
             q = _channel(q, t)
     fields = [1.0 + 2.0 * n for n in q[:4]] + [2.0 * k for k in q[4:]] + [p_sub]
     fields = [x if np.ndim(x) else np.full(t.shape, x) for x in fields]
     if np.ndim(t_e) == 0:
-        if not np.all(r > 0.0):
-            return None
         fields = [x[0] for x in fields]
     return CovarianceSummary(*fields)

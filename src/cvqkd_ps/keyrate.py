@@ -210,8 +210,10 @@ def key_rates(cfg: SchemeConfig, t_e) -> KeyRatePoint:
     Where the tap can never fire there is no conditional state: p_sub and
     every rate are 0.  ``cfg.trunc_n`` is not used here.  An alpha_sq or a
     beta_sq past the range where the bound keeps its precision raises a
-    ValueError that names it.  A NumericalDomainError names the scheme and
-    t_e of the first failing element, and its ``index``.
+    ValueError that names it.  Any failure of the bound on the computed
+    moments, a ValueError of ``mutual_information`` or ``von_neumann_g``
+    included, raises a NumericalDomainError that names the scheme and t_e of
+    the first failing element, and its ``index``.
     """
     if cfg.beta_sq > _BETA_SQ_MAX:
         raise ValueError(f"beta_sq={cfg.beta_sq:g} out of range: > {_BETA_SQ_MAX:g}, "
@@ -222,7 +224,7 @@ def key_rates(cfg: SchemeConfig, t_e) -> KeyRatePoint:
            f"V_A = {{:.3g}} > {_V_A_MAX:g}, where the bound loses its precision", s.v_a)
     try:
         return key_rate_from_summary(s, cfg.recon_eff, t)
-    except NumericalDomainError as exc:
+    except (NumericalDomainError, ValueError) as exc:  # the bound failed on these moments
         i = getattr(exc, "index", 0)
         err = NumericalDomainError(f"{exc} (scheme={cfg.scheme}, t_e={t[i]})")
         err.index = i

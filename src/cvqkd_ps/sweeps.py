@@ -1,6 +1,6 @@
 """Parameter-sweep experiments and their CSV emission.
 
-Six experiment kinds cover the comparisons of interest: key rate against
+Six experiment kinds, one ``EXPERIMENTS`` entry each, cover: key rate against
 channel transmissivity and against distance on a fixed-attenuation link,
 distance grids layered over noise (beta^2) or source strength (alpha^2), and
 fading-channel averages against the beam-wander spread sigma_b (full range
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,26 +29,23 @@ from .channel import (
 from .exact import SCHEMES, SchemeConfig
 from .keyrate import KeyRatePoint, key_rates
 
-EXPERIMENTS = (
-    "transmissivity_sweep",
-    "distance_sweep",
-    "noise_grid",
-    "photon_grid",
-    "satellite_sweep",
-    "satellite_closeup",
-)
-
-# (start, stop, points) chosen to show the crossover regions; the grid
-# extents beyond the core parameter set are conventions of this package.
-DEFAULT_AXES = {
-    "transmissivity_sweep": (0.0, 1.0, 51),
-    "distance_sweep": (0.0, 250.0, 126),
-    "noise_grid": (0.0, 200.0, 41),
-    "photon_grid": (0.0, 200.0, 41),
-    "satellite_sweep": (0.1, 20.0, 40),
-    "satellite_closeup": (0.05, 1.0, 20),
+# One entry per experiment: the axis column, the SchemeConfig field its layers
+# vary (None: one layer) and the default (start, stop, points), chosen to show
+# the crossover regions; the grid extents beyond the core parameter set are
+# conventions of this package.
+Experiment = namedtuple("Experiment", "axis layer default")
+EXPERIMENTS = {
+    "transmissivity_sweep": Experiment("t_e", None, (0.0, 1.0, 51)),
+    "distance_sweep": Experiment("distance_km", None, (0.0, 250.0, 126)),
+    "noise_grid": Experiment("distance_km", "beta_sq", (0.0, 200.0, 41)),
+    "photon_grid": Experiment("distance_km", "alpha_sq", (0.0, 200.0, 41)),
+    "satellite_sweep": Experiment("sigma_b", None, (0.1, 20.0, 40)),
+    "satellite_closeup": Experiment("sigma_b", None, (0.05, 1.0, 20)),
 }
-_DISTANCE_EXPERIMENTS = ("distance_sweep", "noise_grid", "photon_grid")
+# each axis column's range, and what an error says of a bound outside it
+_AXIS_RANGE = {"t_e": (lambda v: 0.0 <= v <= 1.0, "is a transmissivity outside [0, 1]"),
+               "distance_km": (lambda v: v >= 0.0, "is a distance and must be >= 0"),
+               "sigma_b": (lambda v: v > 0.0, "is sigma_b and must be > 0")}
 _NODES_PER_CALL = 65536  # fading nodes per array call, each about 0.3 kB at its peak
 DEFAULT_BETA_SQ_VALUES = (0.0001, 0.001, 0.01, 0.05, 0.1)
 DEFAULT_ALPHA_SQ_VALUES = (0.5, 1.0, 1.3, 2.0, 3.0)
@@ -77,40 +75,46 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if not self.schemes:
             raise ValueError("at least one scheme is required")
-        for s in self.schemes:
+        for i, s in enumerate(self.schemes):
             if s not in SCHEMES:
                 raise ValueError(f"unknown scheme {s!r}")
+            if s in self.schemes[:i]:  # its rows would repeat under the same key
+                raise ValueError(f"--scheme repeats {s}")
         if self.points is not None and self.points < 1:
             raise ValueError("points must be >= 1")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
         start, stop, _ = self._bounds()
+        inside, outside = _AXIS_RANGE[EXPERIMENTS[self.experiment].axis]
         for flag, value in (("--start", start), ("--stop", stop)):
             if not math.isfinite(value):
                 raise ValueError(f"{flag} must be finite, got {value:g}")
-            if self.experiment == "transmissivity_sweep" and not 0.0 <= value <= 1.0:
-                raise ValueError(f"{flag} is a transmissivity outside [0, 1], got {value:g}")
-            if self.experiment in _DISTANCE_EXPERIMENTS and value < 0.0:
-                raise ValueError(f"{flag} is a distance and must be >= 0, got {value:g}")
-            if self.experiment.startswith("satellite") and value <= 0.0:
-                raise ValueError(f"{flag} is sigma_b and must be > 0, got {value:g}")
+            if not inside(value):
+                raise ValueError(f"{flag} {outside}, got {value:g}")
         if not (math.isfinite(self.atten_db_per_km) and self.atten_db_per_km >= 0.0):
             raise ValueError("--atten-db-per-km must be finite and >= 0, "
                              f"got {self.atten_db_per_km:g}")
-        layers = {"noise_grid": ("--beta-sq-values", self.beta_sq_values),
-                  "photon_grid": ("--alpha-sq-values", self.alpha_sq_values)}
-        if self.experiment in layers:
-            flag, values = layers[self.experiment]
+        layer = EXPERIMENTS[self.experiment].layer
+        if layer:
+            flag, values = f"--{layer.replace('_', '-')}-values", self.layers()
             if not values:
                 raise ValueError(f"{flag} must name at least one layer")
-            for value in values:
+            for i, value in enumerate(values):
                 if not (math.isfinite(value) and value >= 0.0):
                     raise ValueError(f"{flag} must be finite and >= 0, got {value:g}")
+                if value in values[:i]:
+                    raise ValueError(f"{flag} repeats {value:g}")
 
     def _bounds(self) -> tuple:
         """(start, stop, points), the experiment's defaults filling the gaps."""
         return tuple(default if value is None else value for value, default in
-                     zip((self.start, self.stop, self.points), DEFAULT_AXES[self.experiment]))
+                     zip((self.start, self.stop, self.points),
+                         EXPERIMENTS[self.experiment].default))
+
+    def layers(self) -> tuple:
+        """The values of the field the experiment's layers vary; () for one layer."""
+        layer = EXPERIMENTS[self.experiment].layer
+        return getattr(self, f"{layer}_values") if layer else ()
 
     def axis(self) -> np.ndarray:
         start, stop, points = self._bounds()
@@ -152,26 +156,25 @@ def _metadata(config: ExperimentConfig, axis: np.ndarray) -> dict:
         "log_axis": config.log_axis,
         "version": __version__,
     }
-    if config.experiment in _DISTANCE_EXPERIMENTS:
+    kind = EXPERIMENTS[config.experiment]
+    md.pop(kind.layer, None)  # the layers overwrite it
+    if kind.axis == "distance_km":
         md["atten_db_per_km"] = config.atten_db_per_km
-    if config.experiment == "noise_grid":
-        md["beta_sq_values"] = ",".join(f"{v:.12g}" for v in config.beta_sq_values)
-    if config.experiment == "photon_grid":
-        md["alpha_sq_values"] = ",".join(f"{v:.12g}" for v in config.alpha_sq_values)
-    if config.experiment.startswith("satellite"):
-        md["beta_r"] = config.beta_r
-        md["beam_w"] = config.beam_w
-        md["nodes"] = config.quad.node_count
-        md["clamp_negative"] = config.quad.clamp_negative
+    if kind.layer:
+        md[f"{kind.layer}_values"] = ",".join(f"{v:.12g}" for v in config.layers())
+    if kind.axis == "sigma_b":
+        md.update(beta_r=config.beta_r, beam_w=config.beam_w, nodes=config.quad.node_count,
+                  clamp_negative=config.quad.clamp_negative)
     return md
 
 
 def run_experiment(config: ExperimentConfig) -> SweepResult:
     """Evaluate the requested grid; deterministic for a fixed config."""
+    kind = EXPERIMENTS[config.experiment]
     axis = config.axis()
     schemes = tuple(config.schemes)
 
-    if config.experiment.startswith("satellite"):
+    if kind.axis == "sigma_b":
         models = [weibull_params(float(sb), config.beta_r, config.beam_w) for sb in axis]
         n = max(1, _NODES_PER_CALL // config.quad.node_count)  # models per call
         averages = [[avg for i in range(0, len(models), n) for avg in
@@ -182,17 +185,16 @@ def run_experiment(config: ExperimentConfig) -> SweepResult:
         columns = ("sigma_b", "scheme", "k_avg", "k_avg_normalized")
         return SweepResult(metadata=_metadata(config, axis), columns=columns, rows=tuple(rows))
 
-    if config.experiment == "transmissivity_sweep":
+    if kind.axis == "t_e":
         t_axis = [float(t) for t in axis]
         points, columns = [(t,) for t in t_axis], ("t_e",)
     else:
         t_axis = [distance_to_transmissivity(float(d), config.atten_db_per_km) for d in axis]
         points, columns = [(float(d), t) for d, t in zip(axis, t_axis)], ("distance_km", "t_e")
     layers = [{}]
-    if config.experiment in ("noise_grid", "photon_grid"):
-        key, values = (("beta_sq", config.beta_sq_values) if config.experiment == "noise_grid"
-                       else ("alpha_sq", config.alpha_sq_values))
-        layers, columns = [{key: float(v)} for v in values], (key,) + columns
+    if kind.layer:
+        layers = [{kind.layer: float(v)} for v in config.layers()]
+        columns = (kind.layer,) + columns
     fields = KeyRatePoint.CSV_COLUMNS[1:]  # t_e is its own axis column
     columns += ("scheme",) + fields
 

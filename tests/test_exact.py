@@ -117,7 +117,9 @@ def test_trunc_n_plays_no_part():
 ])
 def test_tap_never_fires_gives_zero_rate(scheme, t_e, a2, b2):
     cfg = SchemeConfig(scheme, alpha_sq=a2, beta_sq=b2)
-    assert exact_summary(cfg, t_e) is None
+    s = exact_summary(cfg, t_e)  # a float gets an array element's answer: vacuum, p_sub = 0
+    assert (s.v_a, s.v_b2, s.v_e, s.v_f) == (1, 1, 1, 1)
+    assert (s.c_ab2, s.c_ef, s.c_eb2, s.c_fb2, s.p_sub) == (0,) * 5
     kr = key_rate(cfg, t_e)
     assert kr.t_e == t_e
     assert (kr.p_sub, kr.i_g, kr.chi_g, kr.rate_raw, kr.rate, kr.rate_normalized) == (0,) * 6
@@ -263,7 +265,10 @@ def test_closed_forms_match_wick_generator(scheme, alpha_sq, beta_sq, t_s, t_e):
     assert np.all(got.p_sub[never] == 0.0)
     for name in _MOMENTS:
         assert np.all(getattr(got, name)[never] == (1.0 if name.startswith("v_") else 0.0)), name
-    assert [exact_summary(cfg, t) is None for t in t_e] == list(never)
+    for i, t in enumerate(t_e):  # a float t_e gets its array element's answer
+        one = exact_summary(cfg, t)
+        assert [getattr(one, name) for name in CovarianceSummary.CSV_COLUMNS] == \
+            [getattr(got, name)[i] for name in CovarianceSummary.CSV_COLUMNS]
 
 
 @settings(max_examples=200, deadline=None)

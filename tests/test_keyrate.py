@@ -183,6 +183,23 @@ def test_a_failing_conditional_block_names_its_own_element(monkeypatch):
     assert str(err.value).endswith(f"(scheme=nops, t_e={t[k]})")
 
 
+def test_a_bound_value_error_on_computed_moments_names_its_element(monkeypatch):
+    # direct calls keep their ValueError; inside key_rates it names scheme and t_e
+    n, k = 4, 2
+    t = np.linspace(0.1, 0.9, n)
+    c_ab2 = np.where(np.arange(n) == k, 5.0, 1.0)  # V_A V_B2 - C^2 < 0 at k only
+    s = CovarianceSummary(*(np.full(n, v) for v in (3.6, 1.5, 1.5, 3.5)), c_ab2,
+                          *(np.full(n, v) for v in (-2.5, 0.0, 0.0, 1.0)))
+    with pytest.raises(ValueError, match="Cauchy-Schwarz"):
+        mutual_information(s.v_a, s.v_b2, s.c_ab2)
+    monkeypatch.setattr(keyrate_mod, "exact_summary", lambda cfg, t_e: s)
+    with pytest.raises(NumericalDomainError) as err:
+        key_rates(SchemeConfig("tps"), t)
+    assert err.value.index == k
+    assert str(err.value) == (f"covariance exceeds the Cauchy-Schwarz bound "
+                              f"(scheme=tps, t_e={t[k]})")
+
+
 @pytest.mark.parametrize("trunc_n,tol", [(20, 1e-10), (50, 1e-6)])
 def test_conditional_eigenvalues_match_gaussian_toolbox(trunc_n, tol):
     """Pipeline vs an independent matrix-level computation: at the working

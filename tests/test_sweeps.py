@@ -5,6 +5,7 @@ import pytest
 import cvqkd_ps.sweeps as sweeps_mod
 from cvqkd_ps import (
     ExperimentConfig,
+    NumericalDomainError,
     QuadratureSpec,
     SchemeConfig,
     emit_csv,
@@ -339,17 +340,17 @@ def test_cli_config_file_switch_words(tmp_path, key):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", sorted(cli._EXPERIMENT_FOR_COMMAND))
+@pytest.mark.parametrize("command", sorted(e.replace("_", "-") for e in sweeps_mod.EXPERIMENTS))
 def test_cli_defaults_are_the_dataclass_defaults(command):
-    experiment = cli._EXPERIMENT_FOR_COMMAND[command]
-    start, stop, points = sweeps_mod.DEFAULT_AXES[experiment]
+    experiment = command.replace("-", "_")
+    start, stop, points = sweeps_mod.EXPERIMENTS[experiment].default
     parser, _ = cli.build_parser()
     assert cli.config_from_args(parser.parse_args([command])) == ExperimentConfig(
         experiment, start=start, stop=stop, points=points)
 
 
 @pytest.mark.parametrize("command,settings", [
-    ("photon-grid", {"scheme": "tps,rps", "alpha_sq": "2", "beta_sq": "0.01", "t_s": "0.8",
+    ("photon-grid", {"scheme": "tps,rps", "beta_sq": "0.01", "t_s": "0.8",
                      "recon_eff": "0.9", "trunc": "8", "start": "1", "stop": "50",
                      "points": "3", "log_axis": "true", "threads": "2",
                      "atten_db_per_km": "0.3", "alpha_sq_values": "0.5,1"}),
@@ -381,3 +382,85 @@ def test_satellite_rows_do_not_depend_on_the_node_call_size(monkeypatch):
     whole = run_experiment(config).rows
     monkeypatch.setattr(sweeps_mod, "_NODES_PER_CALL", 3 * 24)  # 3 models per call
     assert run_experiment(config).rows == whole
+
+
+# A changed value for each flag; --start and --stop move inside the window
+# below, and a switch flips.  A flag missing here fails the test below.
+_CHANGED = {"scheme": "tps", "alpha_sq": "2", "beta_sq": "0.01", "t_s": "0.8",
+            "recon_eff": "0.9", "points": "4", "atten_db_per_km": "0.3",
+            "beta_sq_values": "0.01", "alpha_sq_values": "0.7", "beta_r": "1.5",
+            "beam_w": "0.8", "nodes": "16"}
+_WINDOW = {"t_e": (0.2, 0.8), "distance_km": (10.0, 100.0), "sigma_b": (0.2, 2.0)}
+# --out and --config choose where the CSV goes and where flags come from;
+# --trunc and --threads change no row and stay only because the benchmark
+# harness still sends them (ROADMAP item 3)
+_NO_ROW_EFFECT = {"help", "out", "config", "trunc", "threads"}
+
+
+@pytest.mark.parametrize("experiment", sorted(sweeps_mod.EXPERIMENTS))
+def test_every_flag_changes_the_rows(tmp_path, experiment):
+    # a grid offers no flag for the field its layers overwrite
+    command, out = experiment.replace("_", "-"), tmp_path / "out.csv"
+    lo, hi = _WINDOW[sweeps_mod.EXPERIMENTS[experiment].axis]
+    changed = {**_CHANGED, "start": repr(1.5 * lo), "stop": repr(0.9 * hi)}
+
+    def rows(argv):
+        cli_main([command, "--start", repr(lo), "--stop", repr(hi), "--points", "3", *argv,
+                  "--out", str(out)])
+        return parse_csv(out).rows
+
+    base = rows([])
+    _, commands = cli.build_parser()
+    for action in commands[command]._actions:
+        if action.dest in _NO_ROW_EFFECT:
+            continue
+        if action.nargs == 0:  # --log-axis, --clamp-negative/--no-clamp-negative
+            argv = [action.option_strings[-1 if action.default else 0]]
+        else:
+            argv = [action.option_strings[0], changed[action.dest]]
+        assert rows(argv) != base, argv
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("transmissivity-sweep", "scheme", "tps,nops,tps"),
+    ("noise-grid", "beta_sq_values", "0.1,0.1"),
+    ("photon-grid", "alpha_sq_values", "1.3,2,1.3"),
+])
+def test_cli_rejects_repeats_by_flag(tmp_path, command, key, value):
+    # each repeat would write its rows twice under the same key
+    flag, repeated = "--" + key.replace("_", "-"), value.split(",")[-1]
+    cfg_file, out = tmp_path / "run.cfg", tmp_path / "out.csv"
+    cfg_file.write_text(f"{key} = {value}\n")
+    flags = ([a for s in value.split(",") for a in (flag, s)] if key == "scheme"
+             else [flag, value])
+    for argv in (flags, ["--config", str(cfg_file)]):
+        with pytest.raises(ValueError) as err:
+            cli_main([command] + argv + ["--out", str(out)])
+        assert str(err.value) == f"{flag} repeats {repeated}"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,pattern", [
+    (["transmissivity-sweep", "--scheme", "nops", "--alpha-sq", "1e8",
+      "--start", "0.99999999", "--stop", "0.9999999999", "--points", "5"],
+     r"Cauchy-Schwarz bound \(scheme=nops, t_e=0\.9999999999\)$"),
+    (["satellite-sweep", "--scheme", "tps", "--alpha-sq", "1e8", "--t-s", "0.99999999",
+      "--beta-r", "3"],
+     r"Cauchy-Schwarz bound \(scheme=tps, t_e=0\.99999\d+\) at sigma_b=0\.1, \w+ \d+ "
+     r"\(T_E=1, u=[\d.]+\)$"),
+], ids=["fixed", "fading"])
+def test_cli_bound_failure_names_its_element(tmp_path, argv, pattern):
+    # strong sources next to T_E = 1, inside the alpha_sq guard (V_A <= 1e9)
+    out = tmp_path / "out.csv"
+    with pytest.raises(NumericalDomainError, match=pattern):
+        cli_main(argv + ["--out", str(out)])
+    assert not out.exists()
+
+
+def test_a_grid_has_no_flag_for_its_layered_field(tmp_path, capsys):
+    for command, flag in (("noise-grid", "--beta-sq"), ("photon-grid", "--alpha-sq")):
+        _, commands = cli.build_parser()
+        assert flag not in commands[command].format_help().split()
+        with pytest.raises(SystemExit):  # not read as an abbreviation of --*-values
+            cli_main([command, flag, "2", "--out", str(tmp_path / "out.csv")])
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
