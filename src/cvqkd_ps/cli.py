@@ -40,7 +40,10 @@ def read_config_file(path) -> dict:
             if "=" not in line:
                 raise ValueError(f"malformed config line: {raw.rstrip()}")
             key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key in values:
+                raise ValueError(f"config key {key!r} is given twice")
+            values[key] = value.strip()
     return values
 
 
@@ -53,8 +56,14 @@ def _file_value(action: argparse.Action, text: str):
                              f"{', '.join(_SWITCH_WORDS)}, got {text!r}")
         return _SWITCH_WORDS[word]
     if action.dest == "scheme":  # comma-separated, where the flag repeats
-        return [s.strip() for s in text.split(",") if s.strip()]
-    return action.type(text)
+        schemes = [s.strip() for s in text.split(",") if s.strip()]
+        if not schemes:
+            raise ValueError("config key 'scheme' names no scheme")
+        return schemes
+    try:
+        return action.type(text)
+    except ValueError:
+        raise ValueError(f"config key {action.dest!r} has an invalid value {text!r}") from None
 
 
 def _add_common(p: argparse.ArgumentParser, name: str) -> None:
@@ -127,6 +136,8 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     # every other flag but --nodes and --clamp-negative sets the field of its name
     own = {f.name: given[f.name] for f in dataclasses.fields(ExperimentConfig) if f.name in given}
     if EXPERIMENTS[name].axis == "sigma_b":
+        if args.nodes < 2:
+            raise ValueError(f"--nodes must be >= 2, got {args.nodes}")
         own["quad"] = QuadratureSpec(node_count=args.nodes, clamp_negative=args.clamp_negative)
     return ExperimentConfig(name, schemes, base, **own)
 

@@ -201,11 +201,12 @@ def key_rate_from_summary(s: CovarianceSummary, recon_eff: float, t_e: float) ->
     )
 
 
-def key_rates(cfg: SchemeConfig, t_e) -> KeyRatePoint:
+def key_rates_many(cfgs, t_e) -> list:
     """Closed-form moments of the untruncated state (``exact``: the channel
     map and one shared photon tap, p_sub = m / (1 + m)^2 with
-    m = (1 - t_s) n_B), then the Gaussian figure, over a 1-D array of
-    transmissivities: a KeyRatePoint of arrays.
+    m = (1 - t_s) n_B), then the Gaussian figure, for each config over a 1-D
+    array of transmissivities: one KeyRatePoint of arrays per config.  The
+    moments are one call per config; the bound is one call over them all.
 
     Where the tap can never fire there is no conditional state: p_sub and
     every rate are 0.  ``cfg.trunc_n`` is not used here.  An alpha_sq or a
@@ -213,22 +214,43 @@ def key_rates(cfg: SchemeConfig, t_e) -> KeyRatePoint:
     ValueError that names it.  Any failure of the bound on the computed
     moments, a ValueError of ``mutual_information`` or ``von_neumann_g``
     included, raises a NumericalDomainError that names the scheme and t_e of
-    the first failing element, and its ``index``.
+    the first failing element, and its ``index`` along t_e.
     """
-    if cfg.beta_sq > _BETA_SQ_MAX:
-        raise ValueError(f"beta_sq={cfg.beta_sq:g} out of range: > {_BETA_SQ_MAX:g}, "
-                         "where the bound loses its precision next to T_E = 1")
     t = np.atleast_1d(np.asarray(t_e, dtype=float))
-    s = exact_summary(cfg, t)
-    _check(s.v_a > _V_A_MAX, ValueError, f"alpha_sq={cfg.alpha_sq:g} out of range: "
-           f"V_A = {{:.3g}} > {_V_A_MAX:g}, where the bound loses its precision", s.v_a)
+    if not cfgs:
+        return []
+    summaries = []
+    for cfg in cfgs:
+        if cfg.beta_sq > _BETA_SQ_MAX:
+            raise ValueError(f"beta_sq={cfg.beta_sq:g} out of range: > {_BETA_SQ_MAX:g}, "
+                             "where the bound loses its precision next to T_E = 1")
+        s = exact_summary(cfg, t)
+        _check(s.v_a > _V_A_MAX, ValueError, f"alpha_sq={cfg.alpha_sq:g} out of range: "
+               f"V_A = {{:.3g}} > {_V_A_MAX:g}, where the bound loses its precision", s.v_a)
+        summaries.append(s)
+    if len(cfgs) == 1:  # no join, and f stays a scalar
+        s, f = summaries[0], cfgs[0].recon_eff
+    else:  # each field's blocks side by side, in one concatenate
+        cols = CovarianceSummary.CSV_COLUMNS
+        s = CovarianceSummary(*np.concatenate([getattr(x, c) for c in cols for x in summaries])
+                              .reshape(len(cols), len(cfgs) * len(t)))
+        f = np.array([cfg.recon_eff for cfg in cfgs]).repeat(len(t))
     try:
-        return key_rate_from_summary(s, cfg.recon_eff, t)
+        kr = key_rate_from_summary(s, f, t)
     except (NumericalDomainError, ValueError) as exc:  # the bound failed on these moments
-        i = getattr(exc, "index", 0)
-        err = NumericalDomainError(f"{exc} (scheme={cfg.scheme}, t_e={t[i]})")
+        k, i = divmod(getattr(exc, "index", 0), len(t))
+        err = NumericalDomainError(f"{exc} (scheme={cfgs[k].scheme}, t_e={t[i]})")
         err.index = i
         raise err from exc
+    if len(cfgs) == 1:
+        return [kr]
+    fields = (getattr(kr, c).reshape(len(cfgs), len(t)) for c in KeyRatePoint.CSV_COLUMNS[1:])
+    return [KeyRatePoint(t, *block) for block in zip(*fields)]
+
+
+def key_rates(cfg: SchemeConfig, t_e) -> KeyRatePoint:
+    """key_rates_many for one config."""
+    return key_rates_many([cfg], t_e)[0]
 
 
 def key_rate(cfg: SchemeConfig, t_e: float) -> KeyRatePoint:

@@ -4,10 +4,11 @@ Six experiment kinds, one ``EXPERIMENTS`` entry each, cover: key rate against
 channel transmissivity and against distance on a fixed-attenuation link,
 distance grids layered over noise (beta^2) or source strength (alpha^2), and
 fading-channel averages against the beam-wander spread sigma_b (full range
-and close-up).  Each fixed-link scheme and layer is one array call over the
-axis, and the fading averages of each scheme one call over all sigma_b (which
-finds the scheme's zero crossings once).  Rows are assembled in grid order,
-so the emitted CSV is byte-identical for a fixed configuration.
+and close-up).  A fixed-link request is one ``key_rates_many`` call over every
+layer and scheme, and the fading averages of each scheme one call over all
+sigma_b (which finds the scheme's zero crossings once); ``_POINTS_PER_CALL``
+caps the points of a call.  Rows are assembled in grid order, so the emitted
+CSV is byte-identical for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .channel import (
     weibull_params,
 )
 from .exact import SCHEMES, SchemeConfig
-from .keyrate import KeyRatePoint, key_rates
+from .keyrate import KeyRatePoint, key_rates_many
 
 # One entry per experiment: the axis column, the SchemeConfig field its layers
 # vary (None: one layer) and the default (start, stop, points), chosen to show
@@ -46,7 +47,7 @@ EXPERIMENTS = {
 _AXIS_RANGE = {"t_e": (lambda v: 0.0 <= v <= 1.0, "is a transmissivity outside [0, 1]"),
                "distance_km": (lambda v: v >= 0.0, "is a distance and must be >= 0"),
                "sigma_b": (lambda v: v > 0.0, "is sigma_b and must be > 0")}
-_NODES_PER_CALL = 65536  # fading nodes per array call, each about 0.3 kB at its peak
+_POINTS_PER_CALL = 65536  # axis points or fading nodes per array call, 0.4 kB each at peak
 DEFAULT_BETA_SQ_VALUES = (0.0001, 0.001, 0.01, 0.05, 0.1)
 DEFAULT_ALPHA_SQ_VALUES = (0.5, 1.0, 1.3, 2.0, 3.0)
 
@@ -81,16 +82,18 @@ class ExperimentConfig:
             if s in self.schemes[:i]:  # its rows would repeat under the same key
                 raise ValueError(f"--scheme repeats {s}")
         if self.points is not None and self.points < 1:
-            raise ValueError("points must be >= 1")
+            raise ValueError(f"--points must be >= 1, got {self.points}")
         if self.threads < 1:
-            raise ValueError("threads must be >= 1")
-        start, stop, _ = self._bounds()
+            raise ValueError(f"--threads must be >= 1, got {self.threads}")
+        start, stop, points = self._bounds()
         inside, outside = _AXIS_RANGE[EXPERIMENTS[self.experiment].axis]
         for flag, value in (("--start", start), ("--stop", stop)):
             if not math.isfinite(value):
                 raise ValueError(f"{flag} must be finite, got {value:g}")
             if not inside(value):
                 raise ValueError(f"{flag} {outside}, got {value:g}")
+            if self.log_axis and points > 1 and value <= 0.0:  # one point is stop alone
+                raise ValueError(f"--log-axis needs {flag} > 0, got {value:g}")
         if not (math.isfinite(self.atten_db_per_km) and self.atten_db_per_km >= 0.0):
             raise ValueError("--atten-db-per-km must be finite and >= 0, "
                              f"got {self.atten_db_per_km:g}")
@@ -121,8 +124,6 @@ class ExperimentConfig:
         if points == 1:
             return np.array([float(stop)])
         if self.log_axis:
-            if start <= 0 or stop <= 0:
-                raise ValueError("log axis needs positive bounds")
             return np.geomspace(start, stop, points)
         return np.linspace(start, stop, points)
 
@@ -176,7 +177,7 @@ def run_experiment(config: ExperimentConfig) -> SweepResult:
 
     if kind.axis == "sigma_b":
         models = [weibull_params(float(sb), config.beta_r, config.beam_w) for sb in axis]
-        n = max(1, _NODES_PER_CALL // config.quad.node_count)  # models per call
+        n = max(1, _POINTS_PER_CALL // config.quad.node_count)  # models per call
         averages = [[avg for i in range(0, len(models), n) for avg in
                      average_key_rates_many(_cfg_for(config, s), models[i:i + n], config.quad)]
                     for s in schemes]
@@ -186,11 +187,11 @@ def run_experiment(config: ExperimentConfig) -> SweepResult:
         return SweepResult(metadata=_metadata(config, axis), columns=columns, rows=tuple(rows))
 
     if kind.axis == "t_e":
-        t_axis = [float(t) for t in axis]
+        t_axis = axis.tolist()
         points, columns = [(t,) for t in t_axis], ("t_e",)
     else:
-        t_axis = [distance_to_transmissivity(float(d), config.atten_db_per_km) for d in axis]
-        points, columns = [(float(d), t) for d, t in zip(axis, t_axis)], ("distance_km", "t_e")
+        t_axis = [distance_to_transmissivity(d, config.atten_db_per_km) for d in axis.tolist()]
+        points, columns = list(zip(axis.tolist(), t_axis)), ("distance_km", "t_e")
     layers = [{}]
     if kind.layer:
         layers = [{kind.layer: float(v)} for v in config.layers()]
@@ -198,12 +199,14 @@ def run_experiment(config: ExperimentConfig) -> SweepResult:
     fields = KeyRatePoint.CSV_COLUMNS[1:]  # t_e is its own axis column
     columns += ("scheme",) + fields
 
-    rows = []
-    for layer in layers:
-        per_scheme = [key_rates(_cfg_for(config, s, **layer), t_axis) for s in schemes]
-        rows += [tuple(layer.values()) + point + (s,)
-                 + tuple(float(getattr(kr, c)[j]) for c in fields)
-                 for j, point in enumerate(points) for s, kr in zip(schemes, per_scheme)]
+    # every (layer, scheme) block in as few bound calls as the point cap allows
+    cfgs = [_cfg_for(config, s, **layer) for layer in layers for s in schemes]
+    n = max(1, _POINTS_PER_CALL // len(t_axis))  # blocks per call
+    krs = [kr for i in range(0, len(cfgs), n) for kr in key_rates_many(cfgs[i:i + n], t_axis)]
+    cells = [list(zip(*(getattr(kr, c).tolist() for c in fields))) for kr in krs]
+    rows = [tuple(layer.values()) + point + (s,) + cells[i * len(schemes) + k][j]
+            for i, layer in enumerate(layers) for j, point in enumerate(points)
+            for k, s in enumerate(schemes)]
     return SweepResult(metadata=_metadata(config, axis), columns=columns, rows=tuple(rows))
 
 

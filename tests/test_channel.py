@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 import cvqkd_ps.channel as channel_mod
+import cvqkd_ps.keyrate as keyrate_mod
 from cvqkd_ps import (
     KeyRatePoint,
     NumericalDomainError,
@@ -629,6 +630,20 @@ def test_default_average_evaluation_count(monkeypatch, scheme, sigma_b):
     # the scan, whose panel keeps the one crossing, and one array call of
     # the whole node budget on one segment
     assert sizes == [_scan_size(), 200]
+
+
+def test_a_default_average_makes_two_bound_calls_with_a_scalar_f(monkeypatch):
+    calls = []
+    real = keyrate_mod.key_rate_from_summary
+
+    def counting(s, recon_eff, t_e):
+        calls.append((len(s.v_a), type(recon_eff)))
+        return real(s, recon_eff, t_e)
+
+    monkeypatch.setattr(keyrate_mod, "key_rate_from_summary", counting)
+    average_key_rates(SchemeConfig("tps"), weibull_params(1.0), QuadratureSpec(200))
+    # one config per call: no join, and f stays the config's float
+    assert calls == [(_scan_size(), float), (200, float)]
 
 
 # ------------------------------------------------- many models in one call

@@ -13,6 +13,7 @@ from cvqkd_ps.keyrate import key_rate_from_summary
 from cvqkd_ps import (
     SCHEMES,
     CovarianceSummary,
+    KeyRatePoint,
     NumericalDomainError,
     SchemeConfig,
     TwoModeCov,
@@ -21,6 +22,7 @@ from cvqkd_ps import (
     holevo_bound,
     key_rate,
     key_rates,
+    key_rates_many,
     mutual_information,
     symplectic_eigenvalues,
     von_neumann_g,
@@ -290,6 +292,46 @@ def test_batch_matches_sequential():
     grid = [0.2, 0.5, 0.9]
     batch = key_rates(cfg, grid)
     assert [batch.at(i) for i in range(len(grid))] == [key_rate(cfg, t) for t in grid]
+
+
+def _bits(kr):
+    return [np.asarray(getattr(kr, c)).tobytes() for c in KeyRatePoint.CSV_COLUMNS]
+
+
+@settings(max_examples=150, deadline=None)
+@given(cfgs=st.lists(st.builds(SchemeConfig, st.sampled_from(SCHEMES),
+                               alpha_sq=st.floats(0.0, 1e5), beta_sq=st.floats(0.0, 0.1),
+                               t_s=st.floats(0.0, 1.0), recon_eff=st.floats(0.0, 1.0)),
+                     min_size=1, max_size=6),
+       t_e=st.lists(st.floats(0.0, 1.0), max_size=20))
+def test_many_configs_equal_one_config_calls(cfgs, t_e):
+    # one bound call over every config gives each config's own call bit for bit
+    t = np.array(t_e + [0.0, 1.0])
+    many = key_rates_many(cfgs, t)
+    assert [_bits(kr) for kr in many] == [_bits(key_rates(cfg, t)) for cfg in cfgs]
+
+
+def test_no_configs_and_no_points():
+    assert key_rates_many([], [0.5]) == []
+    for kr in key_rates_many([SchemeConfig("nops"), SchemeConfig("tps")], []):
+        assert [len(getattr(kr, c)) for c in KeyRatePoint.CSV_COLUMNS] == [0] * 7
+
+
+@pytest.mark.parametrize("failing", ["tps", "rps"])
+def test_a_failure_in_one_block_names_that_block(monkeypatch, failing):
+    # Eve's block given x_B2 is non-physical at k, in the failing scheme's block only
+    n, k = 5, 3
+    t = np.linspace(0.1, 0.9, n)
+    c_fb2 = np.where(np.arange(n) == k, 1.0, 0.0)
+    bad = CovarianceSummary(*(np.full(n, v) for v in (3.6, 1.0, 1.5, 3.5, 0.0, -2.5, 0.0)),
+                            c_fb2, np.ones(n))
+    real = keyrate_mod.exact_summary
+    monkeypatch.setattr(keyrate_mod, "exact_summary",
+                        lambda cfg, t_e: bad if cfg.scheme == failing else real(cfg, t_e))
+    with pytest.raises(NumericalDomainError) as err:
+        key_rates_many([SchemeConfig(s) for s in SCHEMES], t)
+    assert err.value.index == k
+    assert str(err.value).endswith(f"(scheme={failing}, t_e={t[k]})")
 
 
 @pytest.mark.parametrize("beta_sq", [10.0, 30.0, 100.0])

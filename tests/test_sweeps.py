@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import cvqkd_ps.keyrate as keyrate_mod
 import cvqkd_ps.sweeps as sweeps_mod
 from cvqkd_ps import (
     ExperimentConfig,
@@ -267,6 +268,64 @@ def test_cli_rejects_an_invalid_axis_by_flag(tmp_path, argv, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,key,value,extra,message", [
+    ("transmissivity-sweep", "points", "0", [], "--points must be >= 1, got 0"),
+    ("satellite-sweep", "nodes", "1", [], "--nodes must be >= 2, got 1"),
+    ("distance-sweep", "threads", "0", [], "--threads must be >= 1, got 0"),
+    ("transmissivity-sweep", "log_axis", "on", [], "--log-axis needs --start > 0, got 0"),
+    ("distance-sweep", "log_axis", "on", [], "--log-axis needs --start > 0, got 0"),
+    ("transmissivity-sweep", "log_axis", "on", ["--start", "0.5", "--stop", "0"],
+     "--log-axis needs --stop > 0, got 0"),
+])
+def test_cli_rejects_an_out_of_range_setting_by_flag(tmp_path, command, key, value, extra,
+                                                    message):
+    flag = "--" + key.replace("_", "-")
+    cfg_file, out = tmp_path / "run.cfg", tmp_path / "out.csv"
+    cfg_file.write_text(f"{key} = {value}\n")
+    for argv in ([flag] if key == "log_axis" else [flag, value], ["--config", str(cfg_file)]):
+        with pytest.raises(ValueError) as err:
+            cli_main([command] + argv + extra + ["--out", str(out)])
+        assert str(err.value) == message
+        assert not out.exists()
+
+
+def test_a_one_point_log_axis_is_its_stop(tmp_path):
+    out = tmp_path / "out.csv"
+    cli_main(["transmissivity-sweep", "--log-axis", "--points", "1", "--out", str(out)])
+    assert [row[0] for row in parse_csv(out).rows] == [1.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("text", ["scheme =\n", "scheme = ,\n", "scheme = , ,\n"])
+def test_cli_config_file_rejects_an_empty_scheme_list(tmp_path, text):
+    cfg_file, out = tmp_path / "run.cfg", tmp_path / "out.csv"
+    cfg_file.write_text(text)
+    with pytest.raises(ValueError) as err:
+        cli_main(["transmissivity-sweep", "--config", str(cfg_file), "--out", str(out)])
+    assert str(err.value) == "config key 'scheme' names no scheme"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("second", ["alpha_sq = 2", "alpha-sq = 2", "alpha_sq = 1"])
+def test_cli_config_file_rejects_a_repeated_key(tmp_path, second):
+    cfg_file, out = tmp_path / "run.cfg", tmp_path / "out.csv"
+    cfg_file.write_text(f"alpha_sq = 1\n# comment\n{second}\n")
+    with pytest.raises(ValueError) as err:
+        cli_main(["transmissivity-sweep", "--config", str(cfg_file), "--out", str(out)])
+    assert str(err.value) == "config key 'alpha_sq' is given twice"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", [("points", ""), ("points", "2.5"), ("alpha_sq", "x"),
+                                       ("beta_sq_values", "0.1,x"), ("t_s", "")])
+def test_cli_config_file_names_a_value_its_flag_rejects(tmp_path, key, value):
+    cfg_file, out = tmp_path / "run.cfg", tmp_path / "out.csv"
+    cfg_file.write_text(f"{key} = {value}\n")
+    with pytest.raises(ValueError) as err:
+        cli_main(["noise-grid", "--config", str(cfg_file), "--out", str(out)])
+    assert str(err.value) == f"config key {key!r} has an invalid value {value!r}"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,flag", [("noise-grid", "--beta-sq-values"),
                                           ("photon-grid", "--alpha-sq-values")])
 def test_cli_rejects_an_empty_layer_list(tmp_path, command, flag):
@@ -302,7 +361,8 @@ def test_cli_rejects_beta_sq_out_of_range_by_name(tmp_path):
     # the parent code wrote nan cells for nops and tps here and exited 0
     out = tmp_path / "out.csv"
     for argv in (["distance-sweep", "--beta-sq", "1e200", "--points", "3"],
-                 ["noise-grid", "--beta-sq-values", "0.001,1e3", "--points", "3"]):
+                 ["noise-grid", "--beta-sq-values", "0.001,1e3", "--points", "3"],
+                 ["noise-grid", "--beta-sq-values", "0.0001,0.001,0.01,0.05,1e3"]):
         with pytest.raises(ValueError, match=r"^beta_sq=(1e\+200|1000) out of range"):
             cli_main(argv + ["--out", str(out)])
         assert not out.exists()
@@ -380,8 +440,44 @@ def test_cli_config_file_reads_like_the_flags(tmp_path, command, settings):
 def test_satellite_rows_do_not_depend_on_the_node_call_size(monkeypatch):
     config = small_config("satellite_sweep", points=7)
     whole = run_experiment(config).rows
-    monkeypatch.setattr(sweeps_mod, "_NODES_PER_CALL", 3 * 24)  # 3 models per call
+    monkeypatch.setattr(sweeps_mod, "_POINTS_PER_CALL", 3 * 24)  # 3 models per call
     assert run_experiment(config).rows == whole
+
+
+_FIXED_LINK = ["transmissivity-sweep", "distance-sweep", "noise-grid", "photon-grid"]
+
+
+@pytest.mark.parametrize("command", _FIXED_LINK)
+def test_a_fixed_link_request_makes_one_bound_call(monkeypatch, tmp_path, command):
+    sizes = []
+    real = keyrate_mod.key_rate_from_summary
+    monkeypatch.setattr(keyrate_mod, "key_rate_from_summary",
+                        lambda s, f, t: sizes.append(len(s.v_a)) or real(s, f, t))
+    out = tmp_path / "out.csv"
+    cli_main([command, "--out", str(out)])
+    assert sizes == [len(parse_csv(out).rows)]  # every layer and scheme in one call
+
+
+@pytest.mark.parametrize("experiment,cap,calls", [
+    ("noise_grid", 3, 10),  # a block above the cap is one call on its own
+    ("noise_grid", 5, 10),
+    ("noise_grid", 12, 5),
+    ("photon_grid", 20, 3),
+    ("transmissivity_sweep", 9, 2),
+])
+def test_fixed_link_rows_do_not_depend_on_the_point_cap(monkeypatch, tmp_path, experiment,
+                                                         cap, calls):
+    config = small_config(experiment)  # 5 points, nops and tps
+    whole, capped = tmp_path / "whole.csv", tmp_path / "capped.csv"
+    emit_csv(run_experiment(config), whole)
+    sizes = []
+    real = keyrate_mod.key_rate_from_summary
+    monkeypatch.setattr(keyrate_mod, "key_rate_from_summary",
+                        lambda s, f, t: sizes.append(len(s.v_a)) or real(s, f, t))
+    monkeypatch.setattr(sweeps_mod, "_POINTS_PER_CALL", cap)
+    emit_csv(run_experiment(config), capped)
+    assert capped.read_bytes() == whole.read_bytes()
+    assert len(sizes) == calls and max(sizes) <= max(cap, 5)
 
 
 # A changed value for each flag; --start and --stop move inside the window
