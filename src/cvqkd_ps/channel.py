@@ -15,8 +15,8 @@ u only through T_E = eta(u)^2, which rises with u, so its zero crossings are
 found in eta = sqrt(T_E) by a scan on Chebyshev-Lobatto panels, whose
 interpolants give the roots by safeguarded Newton steps (stacked refine
 rounds only where a root is not yet resolved), then mapped to u with the
-CDF; they depend on the law only through eta0, so the averages of one call
-share them.
+CDF; they depend on the law only through eta0, so they are memoised per
+(config, eta0) for the process and a warm average makes one key_rates call.
 """
 
 from __future__ import annotations
@@ -287,10 +287,12 @@ def _lobatto() -> tuple[np.ndarray, np.ndarray]:
         np.linalg.inv(v), np.linalg.inv(v[::2, :9]) @ np.eye(17)[::2], d @ np.linalg.inv(v)])
 
 
-def _crossings(cfg: SchemeConfig, eta0: float) -> tuple[bool, list]:
+@lru_cache(maxsize=64)
+def _crossings(cfg: SchemeConfig, eta0: float) -> tuple[bool, tuple]:
     """Whether rate_raw > 0 at T_E = 0, and its zero crossings T* in [0, eta0^2], in
-    eta = sqrt(T_E), where rate_raw is analytic.  The scan is round 0: _PANELS even
-    panels of 17 Lobatto points each (neighbours share their ends) in one call.  Each
+    eta = sqrt(T_E), where rate_raw is analytic; memoised, as sigma_b does not enter
+    (a NumericalDomainError is raised again, not cached).  The scan is round 0: _PANELS
+    even panels of 17 Lobatto points each (neighbours share their ends) in one call.  Each
     sign change between adjacent samples is solved on its panel's interpolant inside
     its own cell by _newton; a root the degree-8 interpolant moves by over _ROOT_TTOL
     narrows to that cell, and each later round samples Lobatto points in all such cells
@@ -316,7 +318,7 @@ def _crossings(cfg: SchemeConfig, eta0: float) -> tuple[bool, list]:
             else:
                 brackets.append((xs[j:j + 2], ys[j:j + 2]))
         if not brackets:
-            return bool(f[0] > 0.0), sorted(roots)
+            return bool(f[0] > 0.0), tuple(sorted(roots))
         round_ += 1
         ends, f_ends = map(np.array, zip(*brackets))
         x = ends @ np.array([(1.0 - nodes) / 2.0, (1.0 + nodes) / 2.0])
@@ -324,7 +326,7 @@ def _crossings(cfg: SchemeConfig, eta0: float) -> tuple[bool, list]:
         y = np.column_stack([f_ends[:, 0], inner.reshape(len(x), -1), f_ends[:, 1]])
 
 
-def _positive_region(model: FadingModel, starts_positive: bool, crossings: list) -> list:
+def _positive_region(model: FadingModel, starts_positive: bool, crossings: tuple) -> list:
     """u-intervals on which rate_raw > 0 (and so rate, as p_sub >= 0); T_E =
     eta(u)^2 rises with u, so each crossing T* maps to u* = cdf(sqrt(T*))."""
     edges = [0.0, *cdf(model, np.sqrt(crossings)), 1.0]
@@ -348,17 +350,16 @@ def average_key_rates_many(cfg: SchemeConfig, models, quad: QuadratureSpec) -> l
     Unclamped: one Gauss-Legendre rule over u in (0, 1) applied to the signed
     integrand.  Clamped: the integral runs over the located positive region
     only (exact rewriting of the max(K, 0) integrand), its crossings found
-    once per distinct eta0; an empty region gives 0.  All nodes go through
-    one array call, and each model's reduction runs in its own fixed node
-    order, so every average is bit-identical to a one-model call.
+    once per (cfg, eta0) per process by the memoised _crossings; an empty
+    region gives 0.  All nodes go through one array call, and each model's
+    reduction runs in its own fixed node order, so every average is
+    bit-identical to a one-model call.
     """
-    crossings, rules, starts = {}, [], [0]
+    rules, starts = [], [0]
     for model in models:
         segments = [(0.0, 1.0)]
         if quad.clamp_negative:
-            if model.eta0 not in crossings:
-                crossings[model.eta0] = _crossings(cfg, model.eta0)
-            segments = _positive_region(model, *crossings[model.eta0])
+            segments = _positive_region(model, *_crossings(cfg, model.eta0))
         rules.append(_nodes(segments, quad.node_count))
         starts.append(starts[-1] + len(rules[-1][0]))  # where each model's nodes begin
     if starts[-1] == 0:

@@ -145,12 +145,17 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = _shared_parser()
-    args = parser.parse_args(argv)
+    if not argv or argv[0] not in commands:
+        # no command, -h or an unknown command: the full parser exits with its usage
+        parser.parse_args(argv)
+        parser.error("the command must come first")  # e.g. after a "--", where accepted
+    # the command's own parser alone, which the full one would call as well
+    sp = commands[argv[0]]
+    args = sp.parse_args(argv[1:], namespace=argparse.Namespace(command=argv[0]))
     if args.config:
         # parse the command's flags again over a namespace holding the file's
         # values: argparse fills in only the defaults the namespace lacks, so
         # explicit flags keep priority and the shared parsers stay unchanged
-        sp = commands[args.command]
         actions = {a.dest: a for a in sp._actions}
         known = {a.dest for c in commands.values() for a in c._actions} - {"help", "config"}
         seeded = argparse.Namespace(command=args.command)
@@ -163,7 +168,7 @@ def main(argv=None) -> int:
                 file_schemes = _file_value(actions[key], text)
             elif key in actions:  # another command's key: ignored
                 setattr(seeded, key, _file_value(actions[key], text))
-        args = sp.parse_args(argv[argv.index(args.command) + 1:], namespace=seeded)
+        args = sp.parse_args(argv[1:], namespace=seeded)
         if args.scheme is None and file_schemes is not None:
             args.scheme = file_schemes
     config = config_from_args(args)

@@ -6,9 +6,10 @@ distance grids layered over noise (beta^2) or source strength (alpha^2), and
 fading-channel averages against the beam-wander spread sigma_b (full range
 and close-up).  A fixed-link request is one ``key_rates_many`` call over every
 layer and scheme, and the fading averages of each scheme one call over all
-sigma_b (which finds the scheme's zero crossings once); ``_POINTS_PER_CALL``
-caps the points of a call.  Rows are assembled in grid order, so the emitted
-CSV is byte-identical for a fixed configuration.
+sigma_b (the scheme's zero crossings are memoised per process, see
+``channel``); ``_POINTS_PER_CALL`` caps the points of a call.  Rows are
+assembled in grid order, so the emitted CSV is byte-identical for a fixed
+configuration; ``emit_csv`` streams it line by line.
 """
 
 from __future__ import annotations
@@ -222,17 +223,15 @@ def emit_csv(result: SweepResult, path) -> None:
     """Write `# key=value` metadata, a column header, then the rows.
 
     Floats carry 12 significant digits; output is newline-terminated and
-    byte-identical for identical results.
+    byte-identical for identical results.  Lines are written as they are
+    formatted, so the file text is never held whole.
     """
     if not result.rows and not result.columns:
         raise ValueError("refusing to emit an empty result")
-    lines = [f"# {k}={_fmt(v)}" for k, v in result.metadata.items()]
-    lines.append(",".join(result.columns))
-    for row in result.rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
     with open(path, "w", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines(f"# {k}={_fmt(v)}\n" for k, v in result.metadata.items())
+        fh.write(",".join(result.columns) + "\n")
+        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in result.rows)
 
 
 def parse_csv(path) -> SweepResult:

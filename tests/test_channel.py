@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import itertools
 import math
@@ -475,7 +476,7 @@ def test_newton_returns_a_vanishing_sample():
     # 0; there the interpolant reads about -5e-20, so Newton steps would creep
     # towards the zero and stop near T_E ~ 1e-19.  The sample is the root.
     cfg, eta0 = SchemeConfig("tps", beta_sq=0.0), weibull_params(1.0).eta0
-    assert channel_mod._crossings(cfg, eta0) == (False, [0.0])
+    assert channel_mod._crossings(cfg, eta0) == (False, (0.0,))
 
 
 def test_brent_step_on_the_key_rate_crossing():
@@ -644,6 +645,88 @@ def test_a_default_average_makes_two_bound_calls_with_a_scalar_f(monkeypatch):
     average_key_rates(SchemeConfig("tps"), weibull_params(1.0), QuadratureSpec(200))
     # one config per call: no join, and f stays the config's float
     assert calls == [(_scan_size(), float), (200, float)]
+
+
+# ------------------------------------------------- the memoised crossing search
+
+def _bound_calls(run):
+    """run()'s result and the (points, type of f) of each bound call it made."""
+    calls, real = [], keyrate_mod.key_rate_from_summary
+
+    def counting(s, recon_eff, t_e):
+        calls.append((len(s.v_a), type(recon_eff)))
+        return real(s, recon_eff, t_e)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(keyrate_mod, "key_rate_from_summary", counting)
+        return run(), calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(scheme=st.sampled_from(["nops", "tps", "rps"]), alpha_sq=st.floats(0.5, 3.0),
+       beta_sq=st.floats(0.0, 0.01), t_s=st.floats(0.5, 0.99),
+       sigma_b=st.floats(0.1, 20.0), other=st.floats(0.1, 20.0))
+def test_a_warm_average_makes_one_bound_call_and_equals_a_cold_one(scheme, alpha_sq, beta_sq,
+                                                                   t_s, sigma_b, other):
+    cfg, quad = SchemeConfig(scheme, alpha_sq=alpha_sq, beta_sq=beta_sq, t_s=t_s), QuadratureSpec()
+    model = weibull_params(sigma_b)
+    channel_mod._crossings.cache_clear()
+    cold, cold_calls = _bound_calls(lambda: average_key_rates(cfg, model, quad))
+    channel_mod._crossings.cache_clear()
+    average_key_rates(cfg, weibull_params(other), quad)  # the same eta0, another sigma_b
+    warm, warm_calls = _bound_calls(lambda: average_key_rates(cfg, model, quad))
+    assert cold_calls[0] == (_scan_size(), float) and cold_calls[-1] == (200, float)
+    assert warm_calls == [(200, float)]
+    assert ((warm.rate.hex(), warm.rate_normalized.hex())
+            == (cold.rate.hex(), cold.rate_normalized.hex()))
+
+
+def test_a_warm_default_average_makes_one_key_rates_call(monkeypatch):
+    sizes = []
+    real = channel_mod.key_rates
+    monkeypatch.setattr(channel_mod, "key_rates", lambda c, t: sizes.append(len(t)) or real(c, t))
+    cfg, quad = SchemeConfig("tps"), QuadratureSpec(200)
+    average_key_rates(cfg, weibull_params(1.0), quad)
+    assert sizes == [_scan_size(), 200]
+    sizes.clear()
+    average_key_rates(cfg, weibull_params(5.0), quad)
+    assert sizes == [200]
+
+
+def test_a_different_beta_r_or_config_field_misses_the_cache(monkeypatch):
+    sizes = []
+    real = channel_mod.key_rates
+    monkeypatch.setattr(channel_mod, "key_rates", lambda c, t: sizes.append(len(t)) or real(c, t))
+    cfg, quad = SchemeConfig("tps"), QuadratureSpec(200)
+    misses = [(cfg, 1.0), (cfg, 3.0), (SchemeConfig("rps"), 1.0)] + [
+        (dataclasses.replace(cfg, **{name: value}), 1.0)
+        for name, value in (("alpha_sq", 1.0), ("beta_sq", 0.002), ("t_s", 0.8),
+                            ("recon_eff", 0.9))]
+    for c, beta_r in misses:
+        sizes.clear()
+        average_key_rates(c, weibull_params(2.0, beta_r=beta_r), quad)
+        assert sizes[0] == _scan_size(), (c, beta_r)
+    sizes.clear()
+    average_key_rates(cfg, weibull_params(0.5), quad)  # the first key again
+    assert sizes == [200]
+    info = channel_mod._crossings.cache_info()
+    assert (info.misses, info.hits) == (len(misses), 1)
+
+
+def test_a_failed_crossing_search_is_not_memoised(monkeypatch):
+    sizes = []
+
+    def boom(cfg, t):
+        sizes.append(len(t))
+        raise NumericalDomainError("synthetic failure")
+
+    monkeypatch.setattr(channel_mod, "key_rates", boom)
+    m = weibull_params(1.0)
+    for _ in range(2):
+        with pytest.raises(NumericalDomainError, match="synthetic failure at eta0="):
+            average_key_rates(SchemeConfig("nops"), m, QuadratureSpec(200))
+    assert sizes == [_scan_size(), _scan_size()]
+    assert channel_mod._crossings.cache_info().currsize == 0
 
 
 # ------------------------------------------------- many models in one call

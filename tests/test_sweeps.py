@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -154,6 +158,65 @@ def test_worker_count_does_not_change_bytes(tmp_path, experiment):
         emit_csv(run_experiment(config), p)
         paths.append(p)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_a_shorter_result_overwrites_a_longer_csv_exactly(tmp_path):
+    path, fresh = tmp_path / "out.csv", tmp_path / "fresh.csv"
+    emit_csv(run_experiment(small_config("noise_grid", points=9)), path)
+    longer = path.stat().st_size
+    short = run_experiment(small_config("transmissivity_sweep", points=1))
+    emit_csv(short, path)
+    emit_csv(short, fresh)
+    assert path.read_bytes() == fresh.read_bytes()
+    assert path.stat().st_size < longer
+
+
+def test_emit_csv_writes_into_a_pipe(tmp_path):
+    result = run_experiment(small_config("transmissivity_sweep", points=2))
+    emit_csv(result, tmp_path / "want.csv")
+    read_end, write_end = os.pipe()
+    try:  # the CSV is far below a pipe's 64 kB buffer
+        emit_csv(result, f"/dev/fd/{write_end}")
+    finally:
+        os.close(write_end)
+    with os.fdopen(read_end, "rb") as fh:
+        assert fh.read() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_cli_out_dev_stdout_writes_the_csv_to_stdout(tmp_path):
+    argv = ["transmissivity-sweep", "--points", "2"]
+    cli_main(argv + ["--out", str(tmp_path / "want.csv")])
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))  # this package
+    run = subprocess.run([sys.executable, "-m", "cvqkd_ps.cli"] + argv + ["--out", "/dev/stdout"],
+                         stdout=subprocess.PIPE, env=env, check=True)
+    assert run.stdout == ((tmp_path / "want.csv").read_bytes()
+                          + b"wrote 6 rows to /dev/stdout\n")
+
+
+def test_a_failed_write_leaves_no_bytes_of_the_previous_csv(tmp_path):
+    class Unprintable:
+        def __str__(self):
+            raise RuntimeError("cannot format")
+
+    path, fresh = tmp_path / "out.csv", tmp_path / "fresh.csv"
+    emit_csv(run_experiment(small_config("noise_grid", points=9)), path)
+    longer = path.stat().st_size
+    result = run_experiment(small_config("transmissivity_sweep", points=2))
+    emit_csv(result, fresh)
+    bad = sweeps_mod.SweepResult(result.metadata, result.columns,
+                                 result.rows[:1] + ((Unprintable(),),))
+    with pytest.raises(RuntimeError, match="cannot format"):
+        emit_csv(bad, path)
+    left = path.read_bytes()  # at most a prefix of the new CSV, never the old tail
+    assert len(left) < longer and fresh.read_bytes().startswith(left)
+
+
+def test_an_empty_result_leaves_an_existing_file_untouched(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_text("earlier contents\n")
+    with pytest.raises(ValueError, match="refusing to emit an empty result"):
+        emit_csv(sweeps_mod.SweepResult(metadata={}, columns=(), rows=()), path)
+    assert path.read_text() == "earlier contents\n"
 
 
 def test_metadata_contents():
@@ -560,3 +623,38 @@ def test_a_grid_has_no_flag_for_its_layered_field(tmp_path, capsys):
         with pytest.raises(SystemExit):  # not read as an abbreviation of --*-values
             cli_main([command, flag, "2", "--out", str(tmp_path / "out.csv")])
         assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
+
+def test_an_unknown_flag_exits_2_and_names_it(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(["satellite-sweep", "--no-such-flag", "--out", str(tmp_path / "out.csv")])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    # the command's own parser reports it, under its own name
+    assert "cvqkd-ps satellite-sweep: error: unrecognized arguments: --no-such-flag" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["no-such-command"], ["--points", "2"]])
+def test_no_known_command_first_exits_with_the_full_usage(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(argv)
+    out = capsys.readouterr()
+    assert exit_.value.code == (0 if argv == ["-h"] else 2)
+    assert (out.out + out.err).startswith("usage: cvqkd-ps [-h]")
+
+
+def test_config_file_flags_before_and_after_the_command_options(tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("scheme = tps\npoints = 3\nstop = 0.9\nalpha_sq = 2\n")
+    flags = ["--points", "2", "--start", "0.5"]
+    outs = []
+    for i in (0, 2, 4):  # --config before, between and after the flags
+        out = tmp_path / f"cfg-{i}.csv"
+        cli_main(["transmissivity-sweep"] + flags[:i] + ["--config", str(cfg_file)]
+                 + flags[i:] + ["--out", str(out)])
+        outs.append(out.read_bytes())
+    assert len(set(outs)) == 1
+    md = parse_csv(tmp_path / "cfg-0.csv").metadata
+    assert (md["points"], md["start"], md["stop"], md["alpha_sq"], md["schemes"]) == (
+        "2", "0.5", "0.9", "2", "tps")
