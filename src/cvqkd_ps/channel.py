@@ -76,6 +76,7 @@ def bessel_ive(order: int, x: float) -> float:
 
 
 _SIGMA_B_MIN = 1e-150  # sigma_b^2 within 1e-300 and 1e300; the laws fail from 1e154 on
+NODES_MIN = 16  # least node budget: each positive segment takes this many nodes or more
 
 
 @dataclass(frozen=True)
@@ -199,14 +200,14 @@ def mean_transmissivity(model: FadingModel, nodes: int = 400) -> float:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Averaging policy: node budget and treatment of negative bounds."""
+    """Averaging policy: node budget (>= NODES_MIN) and treatment of negative bounds."""
 
     node_count: int = 200
     clamp_negative: bool = True
 
     def __post_init__(self):
-        if self.node_count < 2:
-            raise ValueError("node_count must be >= 2")
+        if self.node_count < NODES_MIN:
+            raise ValueError(f"node_count must be >= {NODES_MIN}, got {self.node_count}")
 
 
 @dataclass(frozen=True)
@@ -230,16 +231,15 @@ _PANELS = 24  # scan panels, 16 _PANELS + 1 points; more cost more than the rare
 
 
 def _rates(cfg: SchemeConfig, t, stage: str, labels: list, starts: list, u=None) -> KeyRatePoint:
-    """key_rates at t, which holds block labels[k] from starts[k] on; a
-    NumericalDomainError also names the block, stage, element, T_E and u."""
+    """key_rates at t, which holds block labels[k] from starts[k] on; a NumericalDomainError
+    (which names t_e) also names the block, stage, element and u."""
     try:
         return key_rates(cfg, t)
     except NumericalDomainError as exc:
         i = getattr(exc, "index", 0)
         k = int(np.searchsorted(starts, i, side="right")) - 1
-        at = f"T_E={t[i]:.6g}" + ("" if u is None else f", u={u[i]:.6g}")
-        raise NumericalDomainError(
-            f"{exc} at {labels[k]}, {stage} {i - starts[k]} ({at})") from exc
+        at = "" if u is None else f" (u={u[i]:.6g})"
+        raise NumericalDomainError(f"{exc} at {labels[k]}, {stage} {i - starts[k]}{at}") from exc
 
 
 def _clenshaw(c: list, x: float) -> float:
@@ -336,9 +336,9 @@ def _positive_region(model: FadingModel, starts_positive: bool, crossings: tuple
 
 def _nodes(segments: list, node_count: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on the segments, the node budget split
-    in proportion to their length (at least 16 each)."""
+    in proportion to their length (at least NODES_MIN each)."""
     total = sum(b - a for a, b in segments)
-    rules = [(a, b - a, *_unit_interval_rule(max(16, round(node_count * (b - a) / total))))
+    rules = [(a, b - a, *_unit_interval_rule(max(NODES_MIN, round(node_count * (b - a) / total))))
              for a, b in segments]
     return (np.concatenate([np.empty(0)] + [a + h * us for a, h, us, _ in rules]),
             np.concatenate([np.empty(0)] + [h * ws for _, h, _, ws in rules]))

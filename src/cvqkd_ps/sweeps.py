@@ -138,19 +138,14 @@ class SweepResult:
     rows: tuple
 
 
-def _cfg_for(config: ExperimentConfig, scheme: str, **overrides) -> SchemeConfig:
-    return dataclasses.replace(config.base, scheme=scheme, **overrides)
-
-
 def _metadata(config: ExperimentConfig, axis: np.ndarray) -> dict:
+    kind = EXPERIMENTS[config.experiment]
     md = {
         "experiment": config.experiment,
         "schemes": ",".join(config.schemes),
-        "alpha_sq": config.base.alpha_sq,
-        "beta_sq": config.base.beta_sq,
-        "t_s": config.base.t_s,
-        "recon_eff": config.base.recon_eff,
-        "trunc_n": config.base.trunc_n,
+        # the physics fields in their order, less the one the layers overwrite
+        **{f.name: getattr(config.base, f.name) for f in dataclasses.fields(SchemeConfig)
+           if f.name not in ("scheme", kind.layer)},
         "backend": "exact",
         "start": axis[0],
         "stop": axis[-1],
@@ -158,8 +153,6 @@ def _metadata(config: ExperimentConfig, axis: np.ndarray) -> dict:
         "log_axis": config.log_axis,
         "version": __version__,
     }
-    kind = EXPERIMENTS[config.experiment]
-    md.pop(kind.layer, None)  # the layers overwrite it
     if kind.axis == "distance_km":
         md["atten_db_per_km"] = config.atten_db_per_km
     if kind.layer:
@@ -180,7 +173,8 @@ def run_experiment(config: ExperimentConfig) -> SweepResult:
         models = [weibull_params(float(sb), config.beta_r, config.beam_w) for sb in axis]
         n = max(1, _POINTS_PER_CALL // config.quad.node_count)  # models per call
         averages = [[avg for i in range(0, len(models), n) for avg in
-                     average_key_rates_many(_cfg_for(config, s), models[i:i + n], config.quad)]
+                     average_key_rates_many(dataclasses.replace(config.base, scheme=s),
+                                            models[i:i + n], config.quad)]
                     for s in schemes]
         rows = [(m.sigma_b, s, per_scheme[i].rate, per_scheme[i].rate_normalized)
                 for i, m in enumerate(models) for s, per_scheme in zip(schemes, averages)]
@@ -201,7 +195,7 @@ def run_experiment(config: ExperimentConfig) -> SweepResult:
     columns += ("scheme",) + fields
 
     # every (layer, scheme) block in as few bound calls as the point cap allows
-    cfgs = [_cfg_for(config, s, **layer) for layer in layers for s in schemes]
+    cfgs = [dataclasses.replace(config.base, scheme=s, **layer) for layer in layers for s in schemes]
     n = max(1, _POINTS_PER_CALL // len(t_axis))  # blocks per call
     krs = [kr for i in range(0, len(cfgs), n) for kr in key_rates_many(cfgs[i:i + n], t_axis)]
     cells = [list(zip(*(getattr(kr, c).tolist() for c in fields))) for kr in krs]

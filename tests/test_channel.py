@@ -365,6 +365,14 @@ def test_quadrature_spec_validation():
         QuadratureSpec(node_count=1)
 
 
+def test_quadrature_spec_refuses_a_budget_below_the_segment_floor():
+    # each positive segment takes at least 16 nodes, so 15 would run as 16
+    assert channel_mod.NODES_MIN == 16
+    with pytest.raises(ValueError, match=r"^node_count must be >= 16, got 15$"):
+        QuadratureSpec(15)
+    assert QuadratureSpec(16).node_count == 16
+
+
 def test_node_count_convergence():
     m = weibull_params(1.0)
     for scheme in ("nops", "tps"):
@@ -453,7 +461,7 @@ def _panel_interpolant(f, a, b):
     (lambda x: math.exp(x) - 1e-3, -10.0, 1.0, True),
     (lambda x: math.tanh(50.0 * (x - 0.3)), 0.0, 1.0, True),  # flat ends
 ], ids=["cos-0.0-2.0", "<lambda>-2.0-3.0", "<lambda>--10.0-1.0", "<lambda>-0.0-1.0"])
-def test_brent_step_matches_scipy(monkeypatch, f, a, b, leaves):
+def test_newton_step_matches_scipy(monkeypatch, f, a, b, leaves):
     from scipy.optimize import brentq
 
     cheb = np.polynomial.chebyshev
@@ -479,7 +487,7 @@ def test_newton_returns_a_vanishing_sample():
     assert channel_mod._crossings(cfg, eta0) == (False, (0.0,))
 
 
-def test_brent_step_on_the_key_rate_crossing():
+def test_newton_step_on_the_key_rate_crossing():
     from scipy.optimize import brentq
 
     # the default scan's panel that holds the rps crossing, T* ~ 0.0069
@@ -602,7 +610,8 @@ def test_refine_error_names_eta0_and_the_element(monkeypatch):
     m = weibull_params(1.0)
     with pytest.raises(NumericalDomainError) as err:
         average_key_rates(SchemeConfig("nops"), m, QuadratureSpec(200))
-    assert f"eta0={m.eta0:.6g}, refine 7 (T_E=" in str(err.value)
+    # key_rates names t_e; the crossing search adds eta0, the stage and the element
+    assert str(err.value) == f"synthetic failure at eta0={m.eta0:.6g}, refine 7"
 
 
 def test_crossing_above_the_aperture_limit_gives_zero():
@@ -782,9 +791,9 @@ def test_error_names_the_model_of_the_failing_node(monkeypatch):
     models = [weibull_params(1.0), weibull_params(2.5)]
     with pytest.raises(NumericalDomainError) as err:
         average_key_rates_many(SchemeConfig("nops"), models, QuadratureSpec(16, False))
-    assert "sigma_b=2.5, node 3 (T_E=" in str(err.value)
+    assert str(err.value).endswith("at sigma_b=2.5, node 3 (u=0.122298)")
 
     # the crossing search is shared by every sigma_b, so it names eta0
     with pytest.raises(NumericalDomainError) as err:
         average_key_rates_many(SchemeConfig("nops"), models, QuadratureSpec(16))
-    assert f"eta0={models[0].eta0:.6g}, scan 19 (T_E=" in str(err.value)
+    assert str(err.value).endswith(f"at eta0={models[0].eta0:.6g}, scan 19")

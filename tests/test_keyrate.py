@@ -387,4 +387,5 @@ def test_channel_error_context(monkeypatch):
         )
     assert "node" in str(err.value)
     assert "sigma_b=1" in str(err.value)
-    assert "node 3 (T_E=" in str(err.value)
+    assert "node 3 (u=" in str(err.value)
+    assert "T_E=" not in str(err.value)

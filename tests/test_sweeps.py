@@ -264,6 +264,22 @@ def test_cli_satellite_flags(tmp_path):
     assert md["clamp_negative"] == "false"
 
 
+@pytest.mark.parametrize("clamp", ["--clamp-negative", "--no-clamp-negative"])
+def test_the_least_node_budget_is_the_one_the_rule_uses(tmp_path, clamp):
+    # each positive segment takes at least 16 nodes, so --nodes 15 is refused
+    # rather than run as 16, and from 16 on each budget gives its own rows
+    with pytest.raises(ValueError, match=r"^--nodes must be >= 16, got 15$"):
+        cli_main(["satellite-closeup", clamp, "--nodes", "15", "--out", str(tmp_path / "x")])
+    rows = []
+    for nodes in ("16", "17"):
+        out = tmp_path / f"closeup-{nodes}.csv"
+        cli_main(["satellite-closeup", clamp, "--nodes", nodes, "--out", str(out)])
+        result = parse_csv(out)
+        assert result.metadata["nodes"] == nodes
+        rows.append(result.rows)
+    assert rows[0] != rows[1]
+
+
 def test_cli_config_file_and_override(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(
@@ -333,12 +349,13 @@ def test_cli_rejects_an_invalid_axis_by_flag(tmp_path, argv, message):
 
 @pytest.mark.parametrize("command,key,value,extra,message", [
     ("transmissivity-sweep", "points", "0", [], "--points must be >= 1, got 0"),
-    ("satellite-sweep", "nodes", "1", [], "--nodes must be >= 2, got 1"),
+    ("satellite-sweep", "nodes", "1", [], "--nodes must be >= 16, got 1"),
     ("distance-sweep", "threads", "0", [], "--threads must be >= 1, got 0"),
     ("transmissivity-sweep", "log_axis", "on", [], "--log-axis needs --start > 0, got 0"),
     ("distance-sweep", "log_axis", "on", [], "--log-axis needs --start > 0, got 0"),
     ("transmissivity-sweep", "log_axis", "on", ["--start", "0.5", "--stop", "0"],
      "--log-axis needs --stop > 0, got 0"),
+    ("satellite-closeup", "nodes", "15", [], "--nodes must be >= 16, got 15"),
 ])
 def test_cli_rejects_an_out_of_range_setting_by_flag(tmp_path, command, key, value, extra,
                                                     message):
@@ -606,13 +623,25 @@ def test_cli_rejects_repeats_by_flag(tmp_path, command, key, value):
     (["satellite-sweep", "--scheme", "tps", "--alpha-sq", "1e8", "--t-s", "0.99999999",
       "--beta-r", "3"],
      r"Cauchy-Schwarz bound \(scheme=tps, t_e=0\.99999\d+\) at sigma_b=0\.1, \w+ \d+ "
-     r"\(T_E=1, u=[\d.]+\)$"),
+     r"\(u=[\d.]+\)$"),
 ], ids=["fixed", "fading"])
 def test_cli_bound_failure_names_its_element(tmp_path, argv, pattern):
     # strong sources next to T_E = 1, inside the alpha_sq guard (V_A <= 1e9)
     out = tmp_path / "out.csv"
     with pytest.raises(NumericalDomainError, match=pattern):
         cli_main(argv + ["--out", str(out)])
+    assert not out.exists()
+
+
+def test_a_fading_bound_failure_names_t_e_once(tmp_path):
+    # key_rates_many names the exact t_e; the average adds sigma_b, the node and u
+    out = tmp_path / "out.csv"
+    with pytest.raises(NumericalDomainError) as err:
+        cli_main(["satellite-sweep", "--scheme", "tps", "--alpha-sq", "1e8",
+                  "--t-s", "0.99999999", "--beta-r", "3", "--out", str(out)])
+    message = str(err.value)
+    assert message.count("t_e=") == 1 and "T_E=" not in message
+    assert " at sigma_b=0.1, node " in message and "(u=" in message
     assert not out.exists()
 
 
