@@ -4,7 +4,8 @@ Beam wander over a ground-satellite optical link yields a distribution of
 amplitude transmission coefficients eta on [0, eta0] that is well
 approximated by a log-negative Weibull law; its shape/scale parameters
 follow from the aperture-to-beam ratio h = (beta_r / W)^2 through modified
-Bessel functions.  The channel intensity transmissivity is T_E = eta^2.
+Bessel functions, once per beam geometry (memoised per (beta_r, W)).  The
+channel intensity transmissivity is T_E = eta^2.
 
 Averages over the fading distribution use the exact inverse-CDF substitution
 eta(u), turning K_avg into an integral over the unit interval that is
@@ -15,8 +16,10 @@ u only through T_E = eta(u)^2, which rises with u, so its zero crossings are
 found in eta = sqrt(T_E) by a scan on Chebyshev-Lobatto panels, whose
 interpolants give the roots by safeguarded Newton steps (stacked refine
 rounds only where a root is not yet resolved), then mapped to u with the
-CDF; they depend on the law only through eta0, so they are memoised per
-(config, eta0) for the process and a warm average makes one key_rates call.
+CDF.  They depend on the law only through eta0, so they are memoised per
+(config, eta0) for the process, each kept as the sigma_b-free term y of its
+CDF: a warm average maps each y to u with the sigma_b of its model and makes
+one key_rates call, the nodes.
 """
 
 from __future__ import annotations
@@ -77,6 +80,8 @@ def bessel_ive(order: int, x: float) -> float:
 
 _SIGMA_B_MIN = 1e-150  # sigma_b^2 within 1e-300 and 1e300; the laws fail from 1e154 on
 NODES_MIN = 16  # least node budget: each positive segment takes this many nodes or more
+# most node budget: a rule of n nodes is a dense n x n eigensolve (under 1 s and 0.1 GB at 2048)
+NODES_MAX = 2048
 
 
 @dataclass(frozen=True)
@@ -98,15 +103,8 @@ class FadingModel:
 
 
 def weibull_params(sigma_b: float, beta_r: float = 1.0, w: float = 1.0) -> FadingModel:
-    """Derive (h, eta0, lambda, L) from the beam geometry.
-
-    eta0^2 = 1 - exp(-2h)
-    lambda = 8h [e^{-4h} I1(4h) / (1 - e^{-4h} I0(4h))] / ln(2 eta0^2 / (1 - e^{-4h} I0(4h)))
-    L      = beta_r [ln(...)]^{-1/lambda}
-
-    The products e^{-4h} I(4h) are taken from the scaled Bessel function, so
-    they stay finite for any aperture-to-beam ratio.
-    """
+    """The fading law at sigma_b for the beam geometry (beta_r, w), whose
+    (h, eta0, lambda, L) come from _geometry."""
     for name, value in (("sigma_b", sigma_b), ("beta_r", beta_r), ("w", w)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite")
@@ -115,6 +113,21 @@ def weibull_params(sigma_b: float, beta_r: float = 1.0, w: float = 1.0) -> Fadin
     if not _SIGMA_B_MIN <= sigma_b <= 1.0 / _SIGMA_B_MIN:
         raise ValueError(f"sigma_b={sigma_b:g} out of range [{_SIGMA_B_MIN:g}, "
                          f"{1.0 / _SIGMA_B_MIN:g}]: its square under- or overflows in the laws")
+    return FadingModel(sigma_b, beta_r, w, *_geometry(beta_r, w))
+
+
+@lru_cache(maxsize=64)
+def _geometry(beta_r: float, w: float) -> tuple:
+    """(h, eta0, lambda, L) of a beam geometry, which sigma_b does not enter;
+    memoised per (beta_r, w) (a ValueError is raised again, not cached).
+
+    eta0^2 = 1 - exp(-2h)
+    lambda = 8h [e^{-4h} I1(4h) / (1 - e^{-4h} I0(4h))] / ln(2 eta0^2 / (1 - e^{-4h} I0(4h)))
+    L      = beta_r [ln(...)]^{-1/lambda}
+
+    The products e^{-4h} I(4h) are taken from the scaled Bessel function, so
+    they stay finite for any aperture-to-beam ratio.
+    """
     h = (beta_r / w) ** 2
     eta0_sq = 1.0 - math.exp(-2.0 * h)
     denom = 1.0 - bessel_ive(0, 4.0 * h)
@@ -127,55 +140,50 @@ def weibull_params(sigma_b: float, beta_r: float = 1.0, w: float = 1.0) -> Fadin
         )
     ln_term = math.log(ln_arg)
     lam = 8.0 * h * (bessel_ive(1, 4.0 * h) / denom) / ln_term
-    l_scale = beta_r * ln_term ** (-1.0 / lam)
-    return FadingModel(
-        sigma_b=sigma_b,
-        beta_r=beta_r,
-        w=w,
-        h=h,
-        eta0=math.sqrt(eta0_sq),
-        lambda_shape=lam,
-        l_scale=l_scale,
-    )
+    return h, math.sqrt(eta0_sq), lam, beta_r * ln_term ** (-1.0 / lam)
 
 
-def _log_laws(model: FadingModel, eta):
-    """eta as an array, where it lies in (0, eta0) or is NaN, and there ln cdf
-    and ln pdf, with y = 2 (ln eta0 - ln eta) (finite at subnormal eta)."""
+def _law_terms(eta0: float, eta):
+    """eta as an array, where it lies in (0, eta0) or is NaN, and there ln eta and
+    y = 2 (ln eta0 - ln eta) (finite at subnormal eta); sigma_b does not enter."""
     eta = np.asarray(eta, dtype=float)
-    inside = ~((eta <= 0.0) | (eta >= model.eta0))
-    half = model.eta0 / 2.0
+    inside = ~((eta <= 0.0) | (eta >= eta0))
+    half = eta0 / 2.0
     x = np.where(inside, eta, half)
     ln_eta = np.log(x)
     # ln eta0 - ln eta rounds to 0 an ulp below eta0; above eta0 / 2, eta - eta0 is exact
-    y = np.where(x > half, -2.0 * np.log1p((np.maximum(x, half) - model.eta0) / model.eta0),
-                 2.0 * (math.log(model.eta0) - ln_eta))
-    p = 2.0 / model.lambda_shape
-    log_cdf = -model.l_scale**2 / (2.0 * model.sigma_b**2) * y**p
-    return eta, inside, log_cdf, log_cdf + (p - 1.0) * np.log(y) - ln_eta + math.log(
-        2.0 * model.l_scale**2 / (model.sigma_b**2 * model.lambda_shape))
+    y = np.where(x > half, -2.0 * np.log1p((np.maximum(x, half) - eta0) / eta0),
+                 2.0 * (math.log(eta0) - ln_eta))
+    return eta, inside, ln_eta, y
+
+
+def _log_cdf(model: FadingModel, y):
+    """ln cdf = -L^2 / (2 sigma_b^2) y^(2/lambda) from the y of _law_terms."""
+    return -model.l_scale**2 / (2.0 * model.sigma_b**2) * y ** (2.0 / model.lambda_shape)
 
 
 def pdf(model: FadingModel, eta):
     """Fading density d cdf/d eta = cdf 2 L^2 y^(2/lambda - 1) / (sigma_b^2
     lambda eta) on (0, eta0), else 0; in log space, so 0 where it underflows
     and inf where it exceeds the float range (as eta -> 0 once lambda > 2)."""
-    _, inside, _, log_pdf = _log_laws(model, eta)
+    _, inside, ln_eta, y = _law_terms(model.eta0, eta)
+    log_pdf = (_log_cdf(model, y) + (2.0 / model.lambda_shape - 1.0) * np.log(y) - ln_eta
+               + math.log(2.0 * model.l_scale**2 / (model.sigma_b**2 * model.lambda_shape)))
     with np.errstate(over="ignore"):
         return np.where(inside, np.exp(log_pdf), 0.0)[()]
 
 
 def cdf(model: FadingModel, eta):
     """P(transmission coefficient <= eta); exp(-a (2 ln(eta0/eta))^(2/lambda))."""
-    eta, inside, log_cdf, _ = _log_laws(model, eta)
-    return np.where(inside, np.exp(log_cdf), np.where(eta >= model.eta0, 1.0, 0.0))[()]
+    eta, inside, _, y = _law_terms(model.eta0, eta)
+    return np.where(inside, np.exp(_log_cdf(model, y)), np.where(eta >= model.eta0, 1.0, 0.0))[()]
 
 
 def inverse_cdf(model: FadingModel, u):
     """eta(u) = eta0 exp(-1/2 (2 sigma_b^2 (-ln u) / L^2)^(lambda/2)) for u in
-    (0, 1]; u may be an array."""
+    (0, 1]; u may be an array, empty too."""
     u = np.asarray(u, dtype=float)
-    if not np.all((u > 0.0) & (u <= 1.0)):
+    if u.size and not (u.min() > 0.0 and u.max() <= 1.0):  # NaN too
         raise ValueError("u must lie in (0, 1]")
     x = 2.0 * model.sigma_b**2 * (-np.log(u)) / model.l_scale**2
     with np.errstate(over="ignore"):  # eta is 0 where x^(lambda/2) overflows
@@ -193,14 +201,17 @@ def distance_to_transmissivity(d_km: float, atten_db_per_km: float) -> float:
 
 
 def mean_transmissivity(model: FadingModel, nodes: int = 400) -> float:
-    """E[eta^2] over the fading law (Gauss-Legendre on the inverse CDF)."""
+    """E[eta^2] over the fading law (Gauss-Legendre on the inverse CDF, at most
+    NODES_MAX nodes)."""
+    if nodes > NODES_MAX:
+        raise ValueError(f"nodes must be <= {NODES_MAX}, got {nodes}")
     u, w = _unit_interval_rule(nodes)
     return float(np.dot(w, inverse_cdf(model, u) ** 2))
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Averaging policy: node budget (>= NODES_MIN) and treatment of negative bounds."""
+    """Averaging policy: node budget (NODES_MIN to NODES_MAX) and treatment of negative bounds."""
 
     node_count: int = 200
     clamp_negative: bool = True
@@ -208,6 +219,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.node_count < NODES_MIN:
             raise ValueError(f"node_count must be >= {NODES_MIN}, got {self.node_count}")
+        if self.node_count > NODES_MAX:
+            raise ValueError(f"node_count must be <= {NODES_MAX}, got {self.node_count}")
 
 
 @dataclass(frozen=True)
@@ -230,16 +243,16 @@ _ROOT_TTOL, _REFINE_ROUNDS = 1e-12, 4  # the refine's error bound on T* and its 
 _PANELS = 24  # scan panels, 16 _PANELS + 1 points; more cost more than the rare refine they save
 
 
-def _rates(cfg: SchemeConfig, t, stage: str, labels: list, starts: list, u=None) -> KeyRatePoint:
-    """key_rates at t, which holds block labels[k] from starts[k] on; a NumericalDomainError
-    (which names t_e) also names the block, stage, element and u."""
+def _rates(cfg: SchemeConfig, t, stage: str, label, starts: list, u=None) -> KeyRatePoint:
+    """key_rates at t, which holds block k from starts[k] on; a NumericalDomainError
+    (which names t_e) also names the block, label(k), the stage, element and u."""
     try:
         return key_rates(cfg, t)
     except NumericalDomainError as exc:
         i = getattr(exc, "index", 0)
         k = int(np.searchsorted(starts, i, side="right")) - 1
         at = "" if u is None else f" (u={u[i]:.6g})"
-        raise NumericalDomainError(f"{exc} at {labels[k]}, {stage} {i - starts[k]}{at}") from exc
+        raise NumericalDomainError(f"{exc} at {label(k)}, {stage} {i - starts[k]}{at}") from exc
 
 
 def _clenshaw(c: list, x: float) -> float:
@@ -287,21 +300,19 @@ def _lobatto() -> tuple[np.ndarray, np.ndarray]:
         np.linalg.inv(v), np.linalg.inv(v[::2, :9]) @ np.eye(17)[::2], d @ np.linalg.inv(v)])
 
 
-@lru_cache(maxsize=64)
-def _crossings(cfg: SchemeConfig, eta0: float) -> tuple[bool, tuple]:
+def _find_crossings(cfg: SchemeConfig, eta0: float) -> tuple[bool, tuple]:
     """Whether rate_raw > 0 at T_E = 0, and its zero crossings T* in [0, eta0^2], in
-    eta = sqrt(T_E), where rate_raw is analytic; memoised, as sigma_b does not enter
-    (a NumericalDomainError is raised again, not cached).  The scan is round 0: _PANELS
+    eta = sqrt(T_E), where rate_raw is analytic.  The scan is round 0: _PANELS
     even panels of 17 Lobatto points each (neighbours share their ends) in one call.  Each
     sign change between adjacent samples is solved on its panel's interpolant inside
     its own cell by _newton; a root the degree-8 interpolant moves by over _ROOT_TTOL
     narrows to that cell, and each later round samples Lobatto points in all such cells
     in one call."""
     nodes, fit = _lobatto()
-    where = [f"eta0={eta0:.6g}"]
+    where = f"eta0={eta0:.6g}"  # the one block: every sigma_b of this eta0
     eta = np.append((eta0 / _PANELS) * (np.arange(_PANELS)[:, None] + (1.0 + nodes[:-1]) / 2.0),
                     eta0)
-    f = _rates(cfg, eta**2, "scan", where, [0]).rate_raw
+    f = _rates(cfg, eta**2, "scan", lambda k: where, [0]).rate_raw
     panels = np.arange(0, 16 * _PANELS, 16)[:, None] + np.arange(17)
     x, y = eta[panels], f[panels]
     roots, round_ = [], 0
@@ -322,16 +333,32 @@ def _crossings(cfg: SchemeConfig, eta0: float) -> tuple[bool, tuple]:
         round_ += 1
         ends, f_ends = map(np.array, zip(*brackets))
         x = ends @ np.array([(1.0 - nodes) / 2.0, (1.0 + nodes) / 2.0])
-        inner = _rates(cfg, (x[:, 1:-1] ** 2).ravel(), "refine", where, [0]).rate_raw
+        inner = _rates(cfg, (x[:, 1:-1] ** 2).ravel(), "refine", lambda k: where, [0]).rate_raw
         y = np.column_stack([f_ends[:, 0], inner.reshape(len(x), -1), f_ends[:, 1]])
 
 
-def _positive_region(model: FadingModel, starts_positive: bool, crossings: tuple) -> list:
+@lru_cache(maxsize=64)
+def _crossings(cfg: SchemeConfig, eta0: float) -> tuple[bool, np.ndarray]:
+    """The crossings of _find_crossings as the part of their u* = cdf(sqrt(T*)) that
+    sigma_b does not enter: whether rate_raw > 0 on the first u-segment, and the
+    read-only y of _law_terms at each T* inside (0, eta0^2).  A T* at 0 (u* = 0)
+    only flips the first segment's sign, and one at eta0^2 (u* = 1) ends the last,
+    so neither is kept.  Memoised per (config, eta0) for the process (a
+    NumericalDomainError is raised again, not cached)."""
+    positive, roots = _find_crossings(cfg, eta0)
+    eta, inside, _, y = _law_terms(eta0, np.sqrt(roots))
+    y = y[inside]
+    y.flags.writeable = False
+    return positive != bool(np.count_nonzero(eta <= 0.0) % 2), y
+
+
+def _positive_region(model: FadingModel, positive: bool, y: np.ndarray) -> list:
     """u-intervals on which rate_raw > 0 (and so rate, as p_sub >= 0); T_E =
-    eta(u)^2 rises with u, so each crossing T* maps to u* = cdf(sqrt(T*))."""
-    edges = [0.0, *cdf(model, np.sqrt(crossings)), 1.0]
+    eta(u)^2 rises with u, so the crossings of _crossings (positive, y) map to
+    u* = exp(ln cdf), in cdf's own operations."""
+    edges = [0.0, *np.exp(_log_cdf(model, y)).tolist(), 1.0]
     return [(a, b) for k, (a, b) in enumerate(zip(edges, edges[1:]))
-            if starts_positive == (k % 2 == 0) and b > a]
+            if positive == (k % 2 == 0) and b > a]
 
 
 def _nodes(segments: list, node_count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -340,6 +367,9 @@ def _nodes(segments: list, node_count: int) -> tuple[np.ndarray, np.ndarray]:
     total = sum(b - a for a, b in segments)
     rules = [(a, b - a, *_unit_interval_rule(max(NODES_MIN, round(node_count * (b - a) / total))))
              for a, b in segments]
+    if len(rules) == 1:
+        a, h, us, ws = rules[0]
+        return a + h * us, h * ws
     return (np.concatenate([np.empty(0)] + [a + h * us for a, h, us, _ in rules]),
             np.concatenate([np.empty(0)] + [h * ws for _, h, _, ws in rules]))
 
@@ -366,7 +396,7 @@ def average_key_rates_many(cfg: SchemeConfig, models, quad: QuadratureSpec) -> l
         return [AveragedKeyRate(0.0, 0.0) for _ in rules]
     u = np.concatenate([us for us, _ in rules])
     t = np.concatenate([inverse_cdf(m, us) ** 2 for m, (us, _) in zip(models, rules)])
-    kr = _rates(cfg, t, "node", [f"sigma_b={m.sigma_b:.6g}" for m in models], starts, u)
+    kr = _rates(cfg, t, "node", lambda k: f"sigma_b={models[k].sigma_b:.6g}", starts, u)
     return [AveragedKeyRate(float(w @ kr.rate[a:b]), float(w @ kr.rate_raw[a:b]))
             for (_, w), a, b in zip(rules, starts, starts[1:])]
 

@@ -12,7 +12,7 @@ import dataclasses
 import sys
 from functools import lru_cache
 
-from .channel import NODES_MIN, QuadratureSpec
+from .channel import NODES_MAX, NODES_MIN, QuadratureSpec
 from .exact import SCHEMES, SchemeConfig
 from .sweeps import EXPERIMENTS, ExperimentConfig, emit_csv, run_experiment
 
@@ -100,7 +100,7 @@ def _add_common(p: argparse.ArgumentParser, name: str) -> None:
         p.add_argument("--beta-r", type=float, default=defaults.beta_r, help="aperture radius")
         p.add_argument("--beam-w", type=float, default=defaults.beam_w, help="beam-spot radius")
         p.add_argument("--nodes", type=int, default=quad.node_count,
-                       help=f"quadrature node budget (>= {NODES_MIN})")
+                       help=f"quadrature node budget ({NODES_MIN} to {NODES_MAX})")
         p.add_argument("--clamp-negative", action=argparse.BooleanOptionalAction,
                        default=quad.clamp_negative,
                        help="clamp negative key rates to zero inside the average")
@@ -138,6 +138,8 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     if EXPERIMENTS[name].axis == "sigma_b":
         if args.nodes < NODES_MIN:
             raise ValueError(f"--nodes must be >= {NODES_MIN}, got {args.nodes}")
+        if args.nodes > NODES_MAX:
+            raise ValueError(f"--nodes must be <= {NODES_MAX}, got {args.nodes}")
         own["quad"] = QuadratureSpec(node_count=args.nodes, clamp_negative=args.clamp_negative)
     return ExperimentConfig(name, schemes, base, **own)
 

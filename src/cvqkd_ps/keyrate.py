@@ -46,12 +46,13 @@ def _check(bad, error: type, message: str, *values) -> None:
     """Raise error(message filled with the values at the first element where
     bad holds); ``index`` on the exception names that element's position
     along the last axis, the points' axis of stacked blocks."""
+    if not np.count_nonzero(bad):
+        return
     bad = np.atleast_1d(bad)
-    if bad.any():
-        i = int(bad.argmax())
-        exc = error(message.format(*(np.ravel(v)[i] for v in values)))
-        exc.index = int(np.unravel_index(i, bad.shape)[-1])
-        raise exc
+    i = int(bad.argmax())
+    exc = error(message.format(*(np.ravel(v)[i] for v in values)))
+    exc.index = int(np.unravel_index(i, bad.shape)[-1])
+    raise exc
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,12 @@ def symplectic_eigenvalues(m: TwoModeCov) -> tuple[float, float]:
     (a pure two-mode squeezed vacuum).  Values within 1e-7 below 1 are
     clamped to 1 (truncation guard); a discriminant below -1e-6 raises.
     """
+    nu = _symplectic(m)
+    return nu[0], nu[1]
+
+
+def _symplectic(m: TwoModeCov):
+    """symplectic_eigenvalues stacked: nu_plus and nu_minus along a new first axis."""
     det_a, det_b = m.ax * m.ap, m.bx * m.bp
     delta = det_a + det_b + 2.0 * m.cx * m.cp
     det_m = (m.ax * m.bx - m.cx * m.cx) * (m.ap * m.bp - m.cp * m.cp)
@@ -95,8 +102,7 @@ def symplectic_eigenvalues(m: TwoModeCov) -> tuple[float, float]:
     nu_p_sq = (delta + np.sqrt(np.maximum(disc, 0.0))) / 2.0
     # nu_-^2 = det M / nu_+^2: (Delta - sqrt(disc)) / 2 cancels once Delta >> 1
     nu = np.sqrt(np.maximum((nu_p_sq, det_m / nu_p_sq), 0.0))
-    nu = np.where((nu >= 1.0 - _NU_CLAMP) & (nu < 1.0), 1.0, nu)
-    return nu[0], nu[1]
+    return np.where((nu >= 1.0 - _NU_CLAMP) & (nu < 1.0), 1.0, nu)
 
 
 def von_neumann_g(v: float) -> float:
@@ -135,16 +141,16 @@ def conditional_cov_ef_given_b2(s: CovarianceSummary) -> TwoModeCov:
     subtracts c_eb2^2/v_b2, c_fb2^2/v_b2 and the cross term c_eb2*c_fb2/v_b2
     from the x quadratures and leaves p untouched.
     """
+    ax, bx, cx = _conditional_x(s)
+    return TwoModeCov(ax=ax, ap=s.v_e, bx=bx, bp=s.v_f, cx=cx, cp=-s.c_ef)
+
+
+def _conditional_x(s: CovarianceSummary) -> list:
+    """The x entries ax, bx and cx of conditional_cov_ef_given_b2."""
     _check(s.v_b2 <= 0.0, ValueError, "v_b2 must be positive")
     inv = 1.0 / s.v_b2
-    return TwoModeCov(
-        ax=s.v_e - s.c_eb2 * s.c_eb2 * inv,
-        ap=s.v_e,
-        bx=s.v_f - s.c_fb2 * s.c_fb2 * inv,
-        bp=s.v_f,
-        cx=s.c_ef - s.c_eb2 * s.c_fb2 * inv,
-        cp=-s.c_ef,
-    )
+    return [s.v_e - s.c_eb2 * s.c_eb2 * inv, s.v_f - s.c_fb2 * s.c_fb2 * inv,
+            s.c_ef - s.c_eb2 * s.c_fb2 * inv]
 
 
 def holevo_bound(s: CovarianceSummary) -> float:
@@ -156,10 +162,10 @@ def holevo_bound(s: CovarianceSummary) -> float:
     state (tps, rps) this surrogate chi is not shown to upper-bound Eve's
     Holevo information; see the module docstring.
     """
-    eve, cond = eve_cov(s), conditional_cov_ef_given_b2(s)
-    both = TwoModeCov(np.array([eve.ax, cond.ax]), eve.ap, np.array([eve.bx, cond.bx]), eve.bp,
-                      np.array([eve.cx, cond.cx]), eve.cp)
-    (g_eve_p, g_cond_p), (g_eve_m, g_cond_m) = von_neumann_g(np.array(symplectic_eigenvalues(both)))
+    ax, bx, cx = _conditional_x(s)
+    both = TwoModeCov(np.array([s.v_e, ax]), s.v_e, np.array([s.v_f, bx]), s.v_f,
+                      np.array([s.c_ef, cx]), -s.c_ef)
+    (g_eve_p, g_cond_p), (g_eve_m, g_cond_m) = von_neumann_g(_symplectic(both))
     return g_eve_p + g_eve_m - g_cond_p - g_cond_m
 
 
@@ -225,8 +231,10 @@ def key_rates_many(cfgs, t_e) -> list:
             raise ValueError(f"beta_sq={cfg.beta_sq:g} out of range: > {_BETA_SQ_MAX:g}, "
                              "where the bound loses its precision next to T_E = 1")
         s = exact_summary(cfg, t)
-        _check(s.v_a > _V_A_MAX, ValueError, f"alpha_sq={cfg.alpha_sq:g} out of range: "
-               f"V_A = {{:.3g}} > {_V_A_MAX:g}, where the bound loses its precision", s.v_a)
+        big = s.v_a > _V_A_MAX
+        if np.count_nonzero(big):  # the message, which names alpha_sq, is formatted only here
+            _check(big, ValueError, f"alpha_sq={cfg.alpha_sq:g} out of range: "
+                   f"V_A = {{:.3g}} > {_V_A_MAX:g}, where the bound loses its precision", s.v_a)
         summaries.append(s)
     if len(cfgs) == 1:  # each fading average and crossing scan: a join would slow them ~8%
         s, f = summaries[0], cfgs[0].recon_eff

@@ -9,7 +9,7 @@ layer and scheme, and the fading averages of each scheme one call over all
 sigma_b (the scheme's zero crossings are memoised per process, see
 ``channel``); ``_POINTS_PER_CALL`` caps the points of a call.  Rows are
 assembled in grid order, so the emitted CSV is byte-identical for a fixed
-configuration; ``emit_csv`` streams it line by line.
+configuration; ``emit_csv`` streams it in chunks of rows.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ _AXIS_RANGE = {"t_e": (lambda v: 0.0 <= v <= 1.0, "is a transmissivity outside [
                "distance_km": (lambda v: v >= 0.0, "is a distance and must be >= 0"),
                "sigma_b": (lambda v: v > 0.0, "is sigma_b and must be > 0")}
 _POINTS_PER_CALL = 65536  # axis points or fading nodes per array call, 0.4 kB each at peak
+_CSV_CHUNK_ROWS = 1024  # rows per encoded write of emit_csv, about 0.1 MB of text
 DEFAULT_BETA_SQ_VALUES = (0.0001, 0.001, 0.01, 0.05, 0.1)
 DEFAULT_ALPHA_SQ_VALUES = (0.5, 1.0, 1.3, 2.0, 3.0)
 
@@ -197,7 +198,8 @@ def run_experiment(config: ExperimentConfig) -> SweepResult:
     # every (layer, scheme) block in as few bound calls as the point cap allows
     cfgs = [dataclasses.replace(config.base, scheme=s, **layer) for layer in layers for s in schemes]
     n = max(1, _POINTS_PER_CALL // len(t_axis))  # blocks per call
-    krs = [kr for i in range(0, len(cfgs), n) for kr in key_rates_many(cfgs[i:i + n], t_axis)]
+    # a generator: each call's arrays are dropped once its blocks are cells
+    krs = (kr for i in range(0, len(cfgs), n) for kr in key_rates_many(cfgs[i:i + n], t_axis))
     cells = [list(zip(*(getattr(kr, c).tolist() for c in fields))) for kr in krs]
     rows = [tuple(layer.values()) + point + (s,) + cells[i * len(schemes) + k][j]
             for i, layer in enumerate(layers) for j, point in enumerate(points)
@@ -217,15 +219,20 @@ def emit_csv(result: SweepResult, path) -> None:
     """Write `# key=value` metadata, a column header, then the rows.
 
     Floats carry 12 significant digits; output is newline-terminated and
-    byte-identical for identical results.  Lines are written as they are
-    formatted, so the file text is never held whole.
+    byte-identical for identical results.  The path is opened (and so
+    truncated) before anything is formatted, then written in encoded chunks
+    of _CSV_CHUNK_ROWS rows, so the file text is never held whole.
     """
     if not result.rows and not result.columns:
         raise ValueError("refusing to emit an empty result")
-    with open(path, "w", newline="\n") as fh:
-        fh.writelines(f"# {k}={_fmt(v)}\n" for k, v in result.metadata.items())
-        fh.write(",".join(result.columns) + "\n")
-        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in result.rows)
+    with open(path, "wb") as fh:
+        head = [f"# {k}={_fmt(v)}\n" for k, v in result.metadata.items()]
+        head.append(",".join(result.columns) + "\n")
+        rows = result.rows
+        for i in range(0, max(len(rows), 1), _CSV_CHUNK_ROWS):  # the head goes with chunk 0
+            lines = [",".join(map(_fmt, row)) + "\n" for row in rows[i:i + _CSV_CHUNK_ROWS]]
+            fh.write("".join(head + lines).encode())
+            head = []
 
 
 def parse_csv(path) -> SweepResult:

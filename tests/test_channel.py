@@ -1,7 +1,9 @@
 import dataclasses
 import decimal
+import importlib
 import itertools
 import math
+import pkgutil
 import re
 
 import numpy as np
@@ -373,6 +375,17 @@ def test_quadrature_spec_refuses_a_budget_below_the_segment_floor():
     assert QuadratureSpec(16).node_count == 16
 
 
+def test_quadrature_spec_refuses_a_budget_above_the_ceiling(monkeypatch):
+    # refused before any rule is built: a rule of n nodes is a dense n x n eigensolve
+    monkeypatch.setattr(channel_mod, "_unit_interval_rule", None)
+    assert channel_mod.NODES_MAX == 2048
+    with pytest.raises(ValueError, match=r"^node_count must be <= 2048, got 2049$"):
+        QuadratureSpec(2049)
+    with pytest.raises(ValueError, match=r"^nodes must be <= 2048, got 2049$"):
+        mean_transmissivity(weibull_params(1.0), 2049)
+    assert QuadratureSpec(2048).node_count == 2048
+
+
 def test_node_count_convergence():
     m = weibull_params(1.0)
     for scheme in ("nops", "tps"):
@@ -446,6 +459,13 @@ def test_inverse_cdf_on_arrays_matches_scalar_calls():
         inverse_cdf(m, np.array([0.5, 0.0]))
 
 
+def test_laws_on_an_empty_array_return_an_empty_array():
+    m = weibull_params(1.3)
+    for fn in (cdf, pdf, inverse_cdf):
+        got = fn(m, np.array([]))
+        assert isinstance(got, np.ndarray) and got.shape == (0,) and got.dtype == float
+
+
 def _panel_interpolant(f, a, b):
     """Samples of f at the 17 Lobatto points of [a, b] and the coefficient rows of
     their Chebyshev interpolant in s in [-1, 1] (value, degree 8, slope)."""
@@ -484,7 +504,10 @@ def test_newton_returns_a_vanishing_sample():
     # 0; there the interpolant reads about -5e-20, so Newton steps would creep
     # towards the zero and stop near T_E ~ 1e-19.  The sample is the root.
     cfg, eta0 = SchemeConfig("tps", beta_sq=0.0), weibull_params(1.0).eta0
-    assert channel_mod._crossings(cfg, eta0) == (False, (0.0,))
+    assert channel_mod._find_crossings(cfg, eta0) == (False, (0.0,))
+    # the memo keeps no crossing at T_E = 0 (u* = 0): the first u-segment is positive
+    positive, y = channel_mod._crossings(cfg, eta0)
+    assert positive and y.size == 0
 
 
 def test_newton_step_on_the_key_rate_crossing():
@@ -533,7 +556,7 @@ def test_refine_matches_scan_and_brent_over_a_config_grid(monkeypatch):
         cfg = SchemeConfig(scheme, alpha_sq=alpha_sq, beta_sq=beta_sq, t_s=t_s)
         eta0 = weibull_params(1.0, beta_r=beta_r).eta0
         calls.clear()
-        starts, got = channel_mod._crossings(cfg, eta0)
+        starts, got = channel_mod._find_crossings(cfg, eta0)
         want_starts, want = _scan_and_brent(cfg, eta0)
         assert (starts, len(got)) == (want_starts, len(want)), cfg
         assert np.all(np.abs(np.subtract(got, want)) <= 2e-13), cfg
@@ -554,7 +577,7 @@ def test_crossing_in_the_first_eta_cell_takes_a_second_round(monkeypatch):
     real = channel_mod.key_rates
     monkeypatch.setattr(channel_mod, "key_rates",
                         lambda c, t: sizes.append(len(t)) or real(c, t))
-    starts, (t_star,) = channel_mod._crossings(cfg, eta0)
+    starts, (t_star,) = channel_mod._find_crossings(cfg, eta0)
     assert sizes[0] == _scan_size() and sizes[1:] in ([], [15])
     assert math.sqrt(t_star) < eta0 / 100
     monkeypatch.undo()
@@ -738,6 +761,95 @@ def test_a_failed_crossing_search_is_not_memoised(monkeypatch):
     assert channel_mod._crossings.cache_info().currsize == 0
 
 
+def test_a_warm_average_at_another_sigma_b_evaluates_no_bessel_series_and_no_cdf(monkeypatch):
+    cfg, quad = SchemeConfig("rps"), QuadratureSpec(200)
+    cold = average_key_rates(cfg, weibull_params(5.0), quad)
+    calls, rates, bessel, law = [], channel_mod.key_rates, channel_mod.bessel_ive, channel_mod.cdf
+    monkeypatch.setattr(channel_mod, "key_rates", lambda c, t: calls.append(len(t)) or rates(c, t))
+    monkeypatch.setattr(channel_mod, "bessel_ive", lambda *a: calls.append("bessel") or bessel(*a))
+    monkeypatch.setattr(channel_mod, "cdf", lambda *a: calls.append("cdf") or law(*a))
+    warm = average_key_rates(cfg, weibull_params(1.0), quad)  # same config and geometry
+    assert calls == [200]
+    # the warm average is the cold one's at its own sigma_b
+    monkeypatch.undo()
+    channel_mod._crossings.cache_clear()
+    channel_mod._geometry.cache_clear()
+    assert average_key_rates(cfg, weibull_params(1.0), quad) == warm != cold
+
+
+def test_a_geometry_is_derived_once_and_a_degenerate_one_is_not_memoised(monkeypatch):
+    calls = []
+    real = channel_mod.bessel_ive
+    monkeypatch.setattr(channel_mod, "bessel_ive", lambda *a: calls.append(a) or real(*a))
+    first = weibull_params(1.0, beta_r=2.0, w=3.0)
+    assert len(calls) == 2  # I0 and I1 at 4h
+    again = weibull_params(7.0, beta_r=2.0, w=3.0)
+    assert len(calls) == 2
+    assert (again.h, again.eta0, again.lambda_shape, again.l_scale) == (
+        first.h, first.eta0, first.lambda_shape, first.l_scale)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="degenerate beam geometry"):
+            weibull_params(1.0, beta_r=1e-200)
+    assert channel_mod._geometry.cache_info().currsize == 1
+
+
+def _region_from_cdf(m, starts_positive, roots):
+    """The positive region as every crossing's u* = cdf(sqrt(T*)) gives it."""
+    edges = [0.0, *(float(cdf(m, math.sqrt(r))) for r in roots), 1.0]
+    return [(a.hex(), b.hex()) for k, (a, b) in enumerate(zip(edges, edges[1:]))
+            if starts_positive == (k % 2 == 0) and b > a]
+
+
+@settings(max_examples=80, deadline=None)
+@given(scheme=st.sampled_from(["nops", "tps", "rps"]), alpha_sq=st.floats(0.1, 30.0),
+       beta_sq=st.floats(0.0, 0.1), t_s=st.floats(0.5, 0.99),
+       beta_r=st.sampled_from([0.3, 1.0, 3.0]), w=st.sampled_from([0.5, 1.0]),
+       sigma_b=st.floats(0.05, 20.0))
+def test_each_u_star_equals_the_cdf_of_its_crossing(scheme, alpha_sq, beta_sq, t_s, beta_r, w,
+                                                    sigma_b):
+    cfg = SchemeConfig(scheme, alpha_sq=alpha_sq, beta_sq=beta_sq, t_s=t_s)
+    m = weibull_params(sigma_b, beta_r, w)
+    starts, roots = channel_mod._find_crossings(cfg, m.eta0)
+    positive, y = channel_mod._crossings(cfg, m.eta0)
+    inside = [r for r in roots if 0.0 < math.sqrt(r) < m.eta0]
+    got = np.exp(channel_mod._log_cdf(m, y))
+    assert [u.hex() for u in got.tolist()] == [float(cdf(m, math.sqrt(r))).hex() for r in inside]
+    region = [(a.hex(), b.hex()) for a, b in channel_mod._positive_region(m, positive, y)]
+    assert region == _region_from_cdf(m, starts, roots)
+
+
+@settings(max_examples=200, deadline=None)
+@given(starts=st.booleans(), beta_r=st.sampled_from([0.0546875, 0.3, 1.0, 3.0]),
+       sigma_b=st.floats(1e-3, 1e3), fractions=st.lists(
+           st.one_of(st.sampled_from([0.0, 1.0, 1.0 - EPS / 2, 1e-300, 5e-324]),
+                     st.floats(0.0, 1.0)), max_size=4))
+def test_crossings_at_and_between_the_ends_map_as_the_cdf_does(starts, beta_r, sigma_b,
+                                                               fractions):
+    # any crossings in [0, eta0^2] (and an ulp above, from rounding), the ends included
+    m = weibull_params(sigma_b, beta_r)
+    roots = tuple(sorted(f * m.eta0**2 for f in fractions))
+    roots += (np.nextafter(m.eta0, 2.0) ** 2,) * (fractions[:1] == [1.0])
+    channel_mod._crossings.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(channel_mod, "_find_crossings", lambda cfg, eta0: (starts, roots))
+        crossings = channel_mod._crossings(SchemeConfig("nops"), m.eta0)
+    channel_mod._crossings.cache_clear()
+    region = channel_mod._positive_region(m, *crossings)
+    assert [(a.hex(), b.hex()) for a, b in region] == _region_from_cdf(m, starts, roots)
+
+
+def test_every_memo_is_cleared_between_tests_or_is_a_pure_table():
+    import conftest
+
+    import cvqkd_ps
+    modules = [importlib.import_module(f"cvqkd_ps.{info.name}")
+               for info in pkgutil.iter_modules(cvqkd_ps.__path__)]
+    memos = {value for mod in modules for value in vars(mod).values()
+             if hasattr(value, "cache_clear")}
+    assert memos == set(conftest.MEMOS) | set(conftest.PURE_TABLES)
+    assert not set(conftest.MEMOS) & set(conftest.PURE_TABLES)
+
+
 # ------------------------------------------------- many models in one call
 
 def _models():
@@ -756,6 +868,18 @@ def test_many_models_equal_one_model_calls(scheme, clamp):
     if clamp:
         assert (many[-1].rate, many[-1].rate_normalized) == (0.0, 0.0)
         assert all(avg.rate > 0.0 for avg in many[:-1])
+
+
+def test_a_model_without_a_positive_region_between_others_gives_0_alone():
+    cfg, quad = SchemeConfig("tps"), QuadratureSpec(200)
+    models = [weibull_params(0.5), weibull_params(1.0, beta_r=0.05), weibull_params(3.0, 2.0)]
+    many = average_key_rates_many(cfg, models, quad)
+    assert many[1] == channel_mod.AveragedKeyRate(0.0, 0.0)
+    for got, m in zip(many[::2], models[::2]):
+        one = average_key_rates(cfg, m, quad)
+        assert (got.rate.hex(), got.rate_normalized.hex()) == (
+            one.rate.hex(), one.rate_normalized.hex())
+        assert got.rate > 0.0
 
 
 def test_no_models_and_all_empty_regions():

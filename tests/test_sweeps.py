@@ -2,10 +2,12 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
+import cvqkd_ps.channel as channel_mod
 import cvqkd_ps.keyrate as keyrate_mod
 import cvqkd_ps.sweeps as sweeps_mod
 from cvqkd_ps import (
@@ -193,6 +195,57 @@ def test_cli_out_dev_stdout_writes_the_csv_to_stdout(tmp_path):
                           + b"wrote 6 rows to /dev/stdout\n")
 
 
+def _text_mode_csv(result, path):
+    """The reference writer: one text-mode file, line by line."""
+    with open(path, "w", newline="\n") as fh:
+        fh.writelines(f"# {k}={sweeps_mod._fmt(v)}\n" for k, v in result.metadata.items())
+        fh.write(",".join(result.columns) + "\n")
+        fh.writelines(",".join(map(sweeps_mod._fmt, row)) + "\n" for row in result.rows)
+
+
+@pytest.fixture(scope="module")
+def csv_results():
+    """The six default results, a one-point satellite request and a two-layer grid."""
+    results = {name: run_experiment(ExperimentConfig(name)) for name in sweeps_mod.EXPERIMENTS}
+    results["one_point_satellite"] = run_experiment(ExperimentConfig(
+        "satellite_sweep", schemes=("tps",), start=5.2, stop=5.2, points=1))
+    results["two_layer_grid"] = run_experiment(ExperimentConfig(
+        "noise_grid", points=4, beta_sq_values=(0.0, 0.05)))
+    return results
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7, None])
+def test_emit_csv_writes_the_bytes_of_a_text_mode_writer(monkeypatch, tmp_path, csv_results,
+                                                         chunk):
+    if chunk:
+        monkeypatch.setattr(sweeps_mod, "_CSV_CHUNK_ROWS", chunk)
+    for name, result in csv_results.items():
+        want, got = tmp_path / f"{name}-want.csv", tmp_path / f"{name}.csv"
+        _text_mode_csv(result, want)
+        got.write_bytes(b"x" * (want.stat().st_size + 100))  # a longer file is overwritten
+        emit_csv(result, got)
+        assert got.read_bytes() == want.read_bytes(), name
+    header_only = sweeps_mod.SweepResult({"a": 1.5}, ("x", "y"), ())
+    _text_mode_csv(header_only, tmp_path / "want.csv")
+    emit_csv(header_only, tmp_path / "got.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_emit_csv_writes_into_a_fifo(monkeypatch, tmp_path, csv_results):
+    monkeypatch.setattr(sweeps_mod, "_CSV_CHUNK_ROWS", 7)
+    result = csv_results["satellite_sweep"]
+    _text_mode_csv(result, tmp_path / "want.csv")
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    emit_csv(result, fifo)
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert got == [(tmp_path / "want.csv").read_bytes()]
+
+
 def test_a_failed_write_leaves_no_bytes_of_the_previous_csv(tmp_path):
     class Unprintable:
         def __str__(self):
@@ -278,6 +331,19 @@ def test_the_least_node_budget_is_the_one_the_rule_uses(tmp_path, clamp):
         assert result.metadata["nodes"] == nodes
         rows.append(result.rows)
     assert rows[0] != rows[1]
+
+
+def test_a_node_budget_above_the_ceiling_is_refused_by_name(monkeypatch, tmp_path):
+    # refused before any rule is built: a rule of n nodes is a dense n x n eigensolve
+    monkeypatch.setattr(channel_mod, "_unit_interval_rule", None)
+    out = str(tmp_path / "x.csv")
+    with pytest.raises(ValueError, match=r"^--nodes must be <= 2048, got 2049$"):
+        cli_main(["satellite-sweep", "--nodes", "2049", "--out", out])
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("nodes = 2049\n")
+    with pytest.raises(ValueError, match=r"^--nodes must be <= 2048, got 2049$"):
+        cli_main(["satellite-closeup", "--config", str(cfg_file), "--out", out])
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_cli_config_file_and_override(tmp_path):
