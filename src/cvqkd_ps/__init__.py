@@ -30,7 +30,6 @@ from .channel import (
     AveragedKeyRate,
     FadingModel,
     QuadratureSpec,
-    average_key_rate,
     average_key_rates,
     average_key_rates_many,
     bessel_ive,
@@ -46,47 +45,5 @@ from .sweeps import (
     ExperimentConfig,
     SweepResult,
     emit_csv,
-    parse_csv,
     run_experiment,
 )
-
-__all__ = [
-    "AveragedKeyRate",
-    "CovarianceSummary",
-    "EXPERIMENTS",
-    "ExperimentConfig",
-    "FadingModel",
-    "KeyRatePoint",
-    "NO_PS",
-    "NumericalDomainError",
-    "QuadratureSpec",
-    "R_PS",
-    "SCHEMES",
-    "SchemeConfig",
-    "SweepResult",
-    "T_PS",
-    "TwoModeCov",
-    "average_key_rate",
-    "average_key_rates",
-    "average_key_rates_many",
-    "bessel_ive",
-    "cdf",
-    "conditional_cov_ef_given_b2",
-    "distance_to_transmissivity",
-    "emit_csv",
-    "eve_cov",
-    "exact_summary",
-    "holevo_bound",
-    "inverse_cdf",
-    "key_rate",
-    "key_rates",
-    "key_rates_many",
-    "mean_transmissivity",
-    "mutual_information",
-    "parse_csv",
-    "pdf",
-    "run_experiment",
-    "symplectic_eigenvalues",
-    "von_neumann_g",
-    "weibull_params",
-]

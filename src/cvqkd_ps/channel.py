@@ -404,8 +404,3 @@ def average_key_rates_many(cfg: SchemeConfig, models, quad: QuadratureSpec) -> l
 def average_key_rates(cfg: SchemeConfig, model: FadingModel, quad: QuadratureSpec) -> AveragedKeyRate:
     """The one-model view of average_key_rates_many."""
     return average_key_rates_many(cfg, [model], quad)[0]
-
-
-def average_key_rate(cfg: SchemeConfig, model: FadingModel, quad: QuadratureSpec) -> float:
-    """K_avg: the fading average of the per-pulse key-rate bound."""
-    return average_key_rates(cfg, model, quad).rate

@@ -106,7 +106,10 @@ def _add_common(p: argparse.ArgumentParser, name: str) -> None:
                        help="clamp negative key rates to zero inside the average")
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The full parser and each command's own subparser, built once per
+    process: parsing never changes them."""
     parser = argparse.ArgumentParser(
         prog="cvqkd-ps",
         description="Key-rate sweeps for CV-QKD with photon subtraction",
@@ -120,12 +123,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         _add_common(sp, name)
         commands[command] = sp
     return parser, commands
-
-
-@lru_cache(maxsize=1)
-def _shared_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """build_parser, once per process; parsing never changes the parsers."""
-    return build_parser()
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -146,7 +143,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, commands = _shared_parser()
+    parser, commands = build_parser()
     if not argv or argv[0] not in commands:
         # no command, -h or an unknown command: the full parser exits with its usage
         parser.parse_args(argv)

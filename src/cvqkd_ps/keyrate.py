@@ -13,10 +13,10 @@ For tps and rps it is not shown to be a lower bound: Gaussian extremality
 bounds chi with a purification of the (A, B2) surrogate instead, and the two
 differ by up to 2 bits (exactly 2 on a lossless channel).
 
-The per-pulse rate multiplies by the tap success probability;
-rate_normalized leaves that factor out, modelling a quantum memory that
-serves tapped states on demand.  Negative values are reported as-is;
-averaging layers decide what to do with them.
+rate_raw, in bits per tapped use, is the memory-assisted figure: it models
+a quantum memory that serves tapped states on demand.  The per-pulse rate
+multiplies it by the tap success probability.  Negative values are reported
+as-is; averaging layers decide what to do with them.
 
 Every function here takes floats or equal-length arrays alike; the guards
 apply per element and name the first element that fails.
@@ -77,8 +77,9 @@ class TwoModeCov:
         return cls(v_x, v_x, v_y, v_y, c, sign * c)
 
 
-def symplectic_eigenvalues(m: TwoModeCov) -> tuple[float, float]:
-    """(nu_plus, nu_minus) from the block invariants.
+def symplectic_eigenvalues(m: TwoModeCov) -> np.ndarray:
+    """nu_plus and nu_minus from the block invariants, stacked along a new first
+    axis (so the result unpacks as nu_p, nu_m).
 
     nu^2 = (Delta +- sqrt(Delta^2 - 4 det M)) / 2 with
     Delta = det A + det B + 2 det C.  The discriminant is formed as
@@ -87,12 +88,6 @@ def symplectic_eigenvalues(m: TwoModeCov) -> tuple[float, float]:
     (a pure two-mode squeezed vacuum).  Values within 1e-7 below 1 are
     clamped to 1 (truncation guard); a discriminant below -1e-6 raises.
     """
-    nu = _symplectic(m)
-    return nu[0], nu[1]
-
-
-def _symplectic(m: TwoModeCov):
-    """symplectic_eigenvalues stacked: nu_plus and nu_minus along a new first axis."""
     det_a, det_b = m.ax * m.ap, m.bx * m.bp
     delta = det_a + det_b + 2.0 * m.cx * m.cp
     det_m = (m.ax * m.bx - m.cx * m.cx) * (m.ap * m.bp - m.cp * m.cp)
@@ -141,16 +136,11 @@ def conditional_cov_ef_given_b2(s: CovarianceSummary) -> TwoModeCov:
     subtracts c_eb2^2/v_b2, c_fb2^2/v_b2 and the cross term c_eb2*c_fb2/v_b2
     from the x quadratures and leaves p untouched.
     """
-    ax, bx, cx = _conditional_x(s)
-    return TwoModeCov(ax=ax, ap=s.v_e, bx=bx, bp=s.v_f, cx=cx, cp=-s.c_ef)
-
-
-def _conditional_x(s: CovarianceSummary) -> list:
-    """The x entries ax, bx and cx of conditional_cov_ef_given_b2."""
     _check(s.v_b2 <= 0.0, ValueError, "v_b2 must be positive")
     inv = 1.0 / s.v_b2
-    return [s.v_e - s.c_eb2 * s.c_eb2 * inv, s.v_f - s.c_fb2 * s.c_fb2 * inv,
-            s.c_ef - s.c_eb2 * s.c_fb2 * inv]
+    return TwoModeCov(ax=s.v_e - s.c_eb2 * s.c_eb2 * inv, ap=s.v_e,
+                      bx=s.v_f - s.c_fb2 * s.c_fb2 * inv, bp=s.v_f,
+                      cx=s.c_ef - s.c_eb2 * s.c_fb2 * inv, cp=-s.c_ef)
 
 
 def holevo_bound(s: CovarianceSummary) -> float:
@@ -162,10 +152,10 @@ def holevo_bound(s: CovarianceSummary) -> float:
     state (tps, rps) this surrogate chi is not shown to upper-bound Eve's
     Holevo information; see the module docstring.
     """
-    ax, bx, cx = _conditional_x(s)
-    both = TwoModeCov(np.array([s.v_e, ax]), s.v_e, np.array([s.v_f, bx]), s.v_f,
-                      np.array([s.c_ef, cx]), -s.c_ef)
-    (g_eve_p, g_cond_p), (g_eve_m, g_cond_m) = von_neumann_g(_symplectic(both))
+    cond = conditional_cov_ef_given_b2(s)
+    both = TwoModeCov(np.array([s.v_e, cond.ax]), s.v_e, np.array([s.v_f, cond.bx]), s.v_f,
+                      np.array([s.c_ef, cond.cx]), -s.c_ef)
+    (g_eve_p, g_cond_p), (g_eve_m, g_cond_m) = von_neumann_g(symplectic_eigenvalues(both))
     return g_eve_p + g_eve_m - g_cond_p - g_cond_m
 
 
@@ -173,8 +163,8 @@ def holevo_bound(s: CovarianceSummary) -> float:
 class KeyRatePoint:
     """Gaussian key-rate figure at one channel transmissivity.
 
-    rate_raw is in bits per tapped (conditioned) use, rate = p_sub * rate_raw
-    in bits per source pulse, rate_normalized = rate_raw (memory-assisted).
+    rate_raw is in bits per tapped (conditioned) use, the memory-assisted
+    figure; rate = p_sub * rate_raw is in bits per source pulse.
     """
 
     t_e: float
@@ -183,9 +173,8 @@ class KeyRatePoint:
     p_sub: float
     rate_raw: float
     rate: float
-    rate_normalized: float
 
-    CSV_COLUMNS = ("t_e", "i_g", "chi_g", "p_sub", "rate_raw", "rate", "rate_normalized")
+    CSV_COLUMNS = ("t_e", "i_g", "chi_g", "p_sub", "rate_raw", "rate")
 
     def at(self, i: int) -> "KeyRatePoint":
         """Element i of an array-valued point, as floats."""
@@ -196,15 +185,8 @@ def key_rate_from_summary(s: CovarianceSummary, recon_eff: float, t_e: float) ->
     i_g = mutual_information(s.v_a, s.v_b2, s.c_ab2)
     chi_g = holevo_bound(s)
     rate_raw = recon_eff * i_g - chi_g
-    return KeyRatePoint(
-        t_e=t_e,
-        i_g=i_g,
-        chi_g=chi_g,
-        p_sub=s.p_sub,
-        rate_raw=rate_raw,
-        rate=s.p_sub * rate_raw,
-        rate_normalized=rate_raw,
-    )
+    return KeyRatePoint(t_e=t_e, i_g=i_g, chi_g=chi_g, p_sub=s.p_sub, rate_raw=rate_raw,
+                        rate=s.p_sub * rate_raw)
 
 
 def key_rates_many(cfgs, t_e) -> list:
@@ -213,6 +195,7 @@ def key_rates_many(cfgs, t_e) -> list:
     m = (1 - t_s) n_B), then the Gaussian figure, for each config over a 1-D
     array of transmissivities: one KeyRatePoint of arrays per config.  The
     moments are one call per config; the bound is one call over them all.
+    A t_e of more than one dimension raises a ValueError that names its shape.
 
     Where the tap can never fire there is no conditional state: p_sub and
     every rate are 0.  ``cfg.trunc_n`` is not used here.  An alpha_sq or a
@@ -223,6 +206,8 @@ def key_rates_many(cfgs, t_e) -> list:
     the first failing element, and its ``index`` along t_e.
     """
     t = np.atleast_1d(np.asarray(t_e, dtype=float))
+    if t.ndim > 1:
+        raise ValueError(f"t_e must be a float or a 1-D array, got shape {t.shape}")
     if not cfgs:
         return []
     summaries = []

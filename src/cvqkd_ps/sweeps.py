@@ -76,6 +76,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
+        kind = EXPERIMENTS[self.experiment]
         if not self.schemes:
             raise ValueError("at least one scheme is required")
         for i, s in enumerate(self.schemes):
@@ -88,7 +89,7 @@ class ExperimentConfig:
         if self.threads < 1:
             raise ValueError(f"--threads must be >= 1, got {self.threads}")
         start, stop, points = self._bounds()
-        inside, outside = _AXIS_RANGE[EXPERIMENTS[self.experiment].axis]
+        inside, outside = _AXIS_RANGE[kind.axis]
         for flag, value in (("--start", start), ("--stop", stop)):
             if not math.isfinite(value):
                 raise ValueError(f"{flag} must be finite, got {value:g}")
@@ -99,9 +100,12 @@ class ExperimentConfig:
         if not (math.isfinite(self.atten_db_per_km) and self.atten_db_per_km >= 0.0):
             raise ValueError("--atten-db-per-km must be finite and >= 0, "
                              f"got {self.atten_db_per_km:g}")
-        layer = EXPERIMENTS[self.experiment].layer
-        if layer:
-            flag, values = f"--{layer.replace('_', '-')}-values", self.layers()
+        if kind.axis == "sigma_b":
+            for flag, value in (("--beta-r", self.beta_r), ("--beam-w", self.beam_w)):
+                if not (math.isfinite(value) and value > 0.0):
+                    raise ValueError(f"{flag} must be finite and > 0, got {value:g}")
+        if kind.layer:
+            flag, values = f"--{kind.layer.replace('_', '-')}-values", self.layers()
             if not values:
                 raise ValueError(f"{flag} must name at least one layer")
             for i, value in enumerate(values):
@@ -234,32 +238,3 @@ def emit_csv(result: SweepResult, path) -> None:
             fh.write("".join(head + lines).encode())
             head = []
 
-
-def parse_csv(path) -> SweepResult:
-    """Read a file produced by emit_csv back into a SweepResult."""
-    metadata = {}
-    columns = None
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("# "):
-                key, _, value = line[2:].partition("=")
-                metadata[key] = value
-                continue
-            cells = line.split(",")
-            if columns is None:
-                columns = tuple(cells)
-                continue
-            row = []
-            for cell in cells:
-                try:
-                    row.append(float(cell))
-                except ValueError:
-                    row.append(cell)
-            rows.append(tuple(row))
-    if columns is None:
-        raise ValueError(f"no header found in {path}")
-    return SweepResult(metadata=metadata, columns=columns, rows=tuple(rows))

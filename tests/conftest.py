@@ -9,7 +9,7 @@ import cvqkd_ps.fock_states as fock_mod
 # outlives the test that made it.
 MEMOS = (channel_mod._crossings, channel_mod._geometry, fock_mod._ket_factors)
 # Pure tables, keyed on a size, a scheme or nothing, that no test can alter: they stay warm.
-PURE_TABLES = (channel_mod._unit_interval_rule, channel_mod._lobatto, cli_mod._shared_parser,
+PURE_TABLES = (channel_mod._unit_interval_rule, channel_mod._lobatto, cli_mod.build_parser,
                fock_mod._skeleton)
 
 

@@ -19,7 +19,6 @@ from cvqkd_ps import (
     NumericalDomainError,
     QuadratureSpec,
     SchemeConfig,
-    average_key_rate,
     average_key_rates,
     average_key_rates_many,
     bessel_ive,
@@ -357,7 +356,7 @@ def test_mean_transmissivity_decreases_with_wander():
 def test_degenerate_wander_concentrates_at_eta0():
     m = weibull_params(1e-6)
     cfg = SchemeConfig("nops")
-    avg = average_key_rate(cfg, m, QuadratureSpec(128))
+    avg = average_key_rates(cfg, m, QuadratureSpec(128)).rate
     point = key_rate(cfg, m.eta0**2).rate
     assert avg == pytest.approx(point, abs=1e-9)
 
@@ -413,8 +412,8 @@ def test_signed_average_matches_clamped_for_benign_fading():
     # estimate the same integral (to quadrature accuracy)
     m = weibull_params(0.3)
     cfg = SchemeConfig("nops")
-    a = average_key_rate(cfg, m, QuadratureSpec(96, clamp_negative=True))
-    b = average_key_rate(cfg, m, QuadratureSpec(96, clamp_negative=False))
+    a = average_key_rates(cfg, m, QuadratureSpec(96, clamp_negative=True)).rate
+    b = average_key_rates(cfg, m, QuadratureSpec(96, clamp_negative=False)).rate
     assert a == pytest.approx(b, rel=1e-9)
 
 
@@ -445,7 +444,7 @@ def test_monte_carlo_agrees_with_quadrature():
     mc = float(samples.mean())
     se = float(samples.std(ddof=1) / math.sqrt(samples.size))
 
-    quad_val = average_key_rate(cfg, m, QuadratureSpec(400, clamp_negative=True))
+    quad_val = average_key_rates(cfg, m, QuadratureSpec(400, clamp_negative=True)).rate
     assert abs(mc - quad_val) <= 3 * se
 
 
@@ -591,7 +590,7 @@ def _fake_rates(rate_raw):
         t = np.asarray(t, dtype=float)
         raw = rate_raw(t)
         zero = np.zeros_like(t)
-        return KeyRatePoint(t, zero, zero, zero + 0.5, raw, 0.5 * raw, raw)
+        return KeyRatePoint(t, zero, zero, zero + 0.5, raw, 0.5 * raw)
     return fake
 
 

@@ -35,7 +35,7 @@ import oracles
 # ------------------------------------------------------ symplectic eigenvalues
 
 def test_two_vacua():
-    assert symplectic_eigenvalues(TwoModeCov.symmetric(1.0, 1.0, 0.0)) == (1.0, 1.0)
+    assert tuple(symplectic_eigenvalues(TwoModeCov.symmetric(1.0, 1.0, 0.0))) == (1.0, 1.0)
 
 
 def test_pure_tmsv_block():
@@ -230,7 +230,7 @@ def test_lossless_baseline():
     kr = key_rate(SchemeConfig("nops", trunc_n=40), 1.0)
     assert kr.chi_g <= 1e-6
     assert kr.rate == pytest.approx(0.95 * math.log2(3.6), abs=1e-4)
-    assert kr.rate == kr.rate_normalized  # nops carries p_sub = 1
+    assert kr.rate == kr.rate_raw  # nops carries p_sub = 1
     assert kr.rate == kr.p_sub * kr.rate_raw
 
 
@@ -314,7 +314,19 @@ def test_many_configs_equal_one_config_calls(cfgs, t_e):
 def test_no_configs_and_no_points():
     assert key_rates_many([], [0.5]) == []
     for kr in key_rates_many([SchemeConfig("nops"), SchemeConfig("tps")], []):
-        assert [len(getattr(kr, c)) for c in KeyRatePoint.CSV_COLUMNS] == [0] * 7
+        assert [len(getattr(kr, c)) for c in KeyRatePoint.CSV_COLUMNS] == [0] * 6
+
+
+def test_one_config_refuses_a_t_e_of_two_dimensions():
+    with pytest.raises(ValueError) as err:
+        key_rates(SchemeConfig("tps"), [[0.1], [0.2]])
+    assert str(err.value) == "t_e must be a float or a 1-D array, got shape (2, 1)"
+
+
+def test_many_configs_refuse_a_t_e_of_two_dimensions():
+    with pytest.raises(ValueError) as err:
+        key_rates_many([SchemeConfig("tps"), SchemeConfig("rps")], [[0.1, 0.2]])
+    assert str(err.value) == "t_e must be a float or a 1-D array, got shape (1, 2)"
 
 
 @pytest.mark.parametrize("failing", ["tps", "rps"])

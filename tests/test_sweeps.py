@@ -17,11 +17,12 @@ from cvqkd_ps import (
     SchemeConfig,
     emit_csv,
     key_rate,
-    parse_csv,
     run_experiment,
 )
 from cvqkd_ps import cli
 from cvqkd_ps.cli import main as cli_main
+
+from csv_reader import parse_csv
 
 
 def small_base(**kw):
@@ -422,6 +423,10 @@ def test_cli_rejects_an_invalid_axis_by_flag(tmp_path, argv, message):
     ("transmissivity-sweep", "log_axis", "on", ["--start", "0.5", "--stop", "0"],
      "--log-axis needs --stop > 0, got 0"),
     ("satellite-closeup", "nodes", "15", [], "--nodes must be >= 16, got 15"),
+    ("satellite-sweep", "beam_w", "nan", [], "--beam-w must be finite and > 0, got nan"),
+    ("satellite-closeup", "beam_w", "inf", [], "--beam-w must be finite and > 0, got inf"),
+    ("satellite-sweep", "beta_r", "-1", [], "--beta-r must be finite and > 0, got -1"),
+    ("satellite-closeup", "beta_r", "0", [], "--beta-r must be finite and > 0, got 0"),
 ])
 def test_cli_rejects_an_out_of_range_setting_by_flag(tmp_path, command, key, value, extra,
                                                     message):
@@ -433,6 +438,13 @@ def test_cli_rejects_an_out_of_range_setting_by_flag(tmp_path, command, key, val
             cli_main([command] + argv + extra + ["--out", str(out)])
         assert str(err.value) == message
         assert not out.exists()
+
+
+def test_beam_settings_are_checked_only_where_a_fading_law_reads_them():
+    for experiment in ("transmissivity_sweep", "distance_sweep", "noise_grid", "photon_grid"):
+        ExperimentConfig(experiment, beta_r=math.nan, beam_w=-1.0)
+    with pytest.raises(ValueError, match="--beta-r must be finite and > 0, got nan"):
+        ExperimentConfig("satellite_sweep", beta_r=math.nan)
 
 
 def test_a_one_point_log_axis_is_its_stop(tmp_path):
