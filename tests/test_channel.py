@@ -6,9 +6,10 @@ import math
 import pkgutil
 import re
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
@@ -32,6 +33,8 @@ from cvqkd_ps import (
     weibull_params,
 )
 from cvqkd_ps.cli import main as cli_main
+
+from csv_reader import parse_csv
 
 # frozen from an independent high-precision evaluation (scipy Bessel chain)
 ETA0_H1 = 0.9298734950321937
@@ -140,6 +143,42 @@ def test_weibull_rejects_sigma_b_whose_square_leaves_the_float_range(tmp_path, s
     with pytest.raises(ValueError, match="sigma_b="):
         cli_main(["satellite-sweep", *ends, "--points", "3", "--out", str(out)])
     assert not out.exists()
+
+
+@pytest.mark.parametrize("beta_r,w", [(1e200, 1.0), (1.0, 1e-200), (1e200, 1e-200)])
+def test_a_geometry_whose_h_overflows_is_refused_by_name(tmp_path, beta_r, w):
+    # (beta_r / w)^2 overflows, or beta_r / w itself does and h = inf would
+    # give lambda = L = NaN: an error naming both, and no CSV
+    named = re.escape(f"degenerate beam geometry (beta_r={beta_r:g}, w={w:g})")
+    with pytest.raises(ValueError, match=named):
+        weibull_params(1.0, beta_r, w)
+    out = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match=named):
+        cli_main(["satellite-closeup", "--points", "1", "--beta-r", repr(beta_r),
+                  "--beam-w", repr(w), "--out", str(out)])
+    assert not out.exists()
+
+
+def test_a_large_finite_aperture_to_beam_ratio_is_a_lossless_link(tmp_path):
+    out = tmp_path / "out.csv"
+    cli_main(["satellite-closeup", "--points", "1", "--beta-r", "1e150", "--out", str(out)])
+    assert {row[1]: row[2] for row in parse_csv(out).rows}["rps"] == 0.174746299908
+
+
+@settings(max_examples=300, deadline=None)
+@example(153.82, 0.0)  # h finite, 8h overflows: lambda would be inf
+@example(0.25, -153.25)  # h finite, e^-4h I1(4h) underflows: lambda would be 0
+@example(-4.3125, 1.0)  # h about 2e-11: L would overflow
+@example(154.1, 0.0)  # beta_r / w finite, its square overflows
+@example(200.0, -200.0)  # beta_r / w overflows
+@given(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0))
+def test_a_fading_model_has_finite_fields_or_is_refused(log_beta_r, log_w):
+    try:
+        m = weibull_params(1.0, 10.0**log_beta_r, 10.0**log_w)
+    except ValueError as exc:
+        assert str(exc).startswith("degenerate beam geometry (beta_r=")
+        return
+    assert all(math.isfinite(v) for v in dataclasses.astuple(m))
 
 
 @pytest.mark.parametrize("beta_r", [0.05, 1.0, 3.0, 30.0])
@@ -375,7 +414,7 @@ def test_quadrature_spec_refuses_a_budget_below_the_segment_floor():
 
 
 def test_quadrature_spec_refuses_a_budget_above_the_ceiling(monkeypatch):
-    # refused before any rule is built: a rule of n nodes is a dense n x n eigensolve
+    # refused before any rule is built
     monkeypatch.setattr(channel_mod, "_unit_interval_rule", None)
     assert channel_mod.NODES_MAX == 2048
     with pytest.raises(ValueError, match=r"^node_count must be <= 2048, got 2049$"):
@@ -383,6 +422,91 @@ def test_quadrature_spec_refuses_a_budget_above_the_ceiling(monkeypatch):
     with pytest.raises(ValueError, match=r"^nodes must be <= 2048, got 2049$"):
         mean_transmissivity(weibull_params(1.0), 2049)
     assert QuadratureSpec(2048).node_count == 2048
+
+
+@pytest.mark.parametrize("nodes", [0, -3, 2.5])
+def test_mean_transmissivity_refuses_a_node_count_that_is_no_positive_integer(nodes):
+    with pytest.raises(ValueError, match=rf"^nodes must be a positive integer, got {nodes}$"):
+        mean_transmissivity(weibull_params(1.0), nodes)
+
+
+# ------------------------------------------------------------ quadrature tables
+
+def _mp_weights(n, xs):
+    """Gauss-Legendre weights 1 / ((1 - x^2) P_n'(x)^2) on (0, 1) at the roots of
+    P_n next to the floats xs, to 34 digits: a Newton step on the plain three-term
+    recurrence at 40 digits, from a float within 1e-15 of the root, leaves it
+    within about 1e-26 (the next step is checked to be that small)."""
+    out = []
+    with mpmath.workdps(40):
+        for x in xs:
+            x = mpmath.mpf(float(x))
+            for _ in range(2):
+                p0, p1 = mpmath.mpf(1), x
+                for k in range(1, n):
+                    p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+                dp = n * (p0 - x * p1) / (1 - x * x)
+                step, w = p1 / dp, 1 / ((1 - x * x) * dp * dp)
+                x -= step
+            assert abs(step) < 1e-24
+            out.append(float(w))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n,rel", [(16, 1e-13), (17, 1e-13), (200, 1e-13), (201, 1e-13),
+                                   (1000, 1e-11)])
+def test_rule_weights_match_34_digit_values(n, rel):
+    # numpy's leggauss weights are 2.2e-11 off at 200 nodes and 8.3e-9 at 1000,
+    # at the nodes next to x = +-1
+    u, w = channel_mod._unit_interval_rule.__wrapped__(n)
+    x, w = 2.0 * u[n // 2:] - 1.0, w[n // 2:]  # the roots x >= 0
+    if n == 1000:  # the 16 roots next to x = 1, where the error is largest, and every 25th
+        pick = sorted({*range(0, n // 2, 25), *range(n // 2 - 16, n // 2)})
+        x, w = x[pick], w[pick]
+    assert np.abs(w / _mp_weights(n, x) - 1.0).max() <= rel
+
+
+def test_rule_nodes_match_leggauss_and_form_a_rule():
+    for n in [*range(1, 301), 511, 512, 1023, 1024, 2047, 2048]:
+        u, w = channel_mod._unit_interval_rule.__wrapped__(n)
+        x, _ = np.polynomial.legendre.leggauss(n)
+        assert u.shape == w.shape == (n,)
+        assert np.abs(u - (x + 1.0) / 2.0).max() <= 2.3e-16, n
+        assert 0.0 < u[0] and u[-1] < 1.0 and np.all(np.diff(u) > 0.0), n
+        assert w.min() > 0.0 and abs(w.sum() - 1.0) <= 1e-15, n
+
+
+def test_lobatto_maps_match_the_dense_inverse():
+    nodes, fit = channel_mod._lobatto()
+    cheb = np.polynomial.chebyshev
+    v = cheb.chebvander(nodes, 16)  # T_k(s_j)
+    inverse = np.linalg.inv(v)
+    want = np.vstack([inverse, np.linalg.inv(v[::2, :9]) @ np.eye(17)[::2],
+                      cheb.chebder(inverse), np.zeros(17)])
+    assert fit.shape == want.shape
+    assert np.all(np.abs(fit - want) <= 1e-13 * np.abs(want).max(axis=1, keepdims=True))
+
+
+_SOLVERS = ("inv", "solve", "eig", "eigh", "eigvals", "eigvalsh", "svd", "lstsq", "pinv", "det")
+
+
+def test_no_solver_runs_on_a_request_path(monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense linear-algebra call on a request path")
+
+    for name in _SOLVERS:
+        monkeypatch.setattr(np.linalg, name, refuse)
+    # pure tables stay warm across tests: clear them, so that this test builds them
+    channel_mod._unit_interval_rule.cache_clear()
+    channel_mod._lobatto.cache_clear()
+    for command in ("satellite-sweep", "satellite-closeup"):
+        cli_main([command, "--out", str(tmp_path / f"{command}.csv")])
+    assert 0.0 < mean_transmissivity(weibull_params(1.0), 2048) < 1.0
+    # both tables were built here, the rules of 200 and 2048 nodes among them
+    assert channel_mod._lobatto.cache_info().misses == 1
+    hits = channel_mod._unit_interval_rule.cache_info().hits
+    channel_mod._unit_interval_rule(200), channel_mod._unit_interval_rule(2048)
+    assert channel_mod._unit_interval_rule.cache_info().hits == hits + 2
 
 
 def test_node_count_convergence():
