@@ -17,7 +17,6 @@ from .keyrate import (
     NumericalDomainError,
     TwoModeCov,
     conditional_cov_ef_given_b2,
-    eve_cov,
     holevo_bound,
     key_rate,
     key_rates,

@@ -85,8 +85,7 @@ def _add_common(p: argparse.ArgumentParser, name: str) -> None:
     p.add_argument("--points", type=int, default=points, help="axis point count")
     p.add_argument("--log-axis", action="store_true", default=defaults.log_axis,
                    help="space axis points geometrically")
-    p.add_argument("--threads", type=int, default=defaults.threads,
-                   help="accepted (>= 1); has no effect")
+    p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
     p.add_argument("--out", type=str, default=f"{name}.csv", help="output CSV path")
     p.add_argument("--config", type=str, default=None,
                    help="plain-text config file (key = value); flags override")
@@ -151,26 +150,29 @@ def main(argv=None) -> int:
     # the command's own parser alone, which the full one would call as well
     sp = commands[argv[0]]
     args = sp.parse_args(argv[1:], namespace=argparse.Namespace(command=argv[0]))
-    if args.config:
-        # parse the command's flags again over a namespace holding the file's
-        # values: argparse fills in only the defaults the namespace lacks, so
-        # explicit flags keep priority and the shared parsers stay unchanged
-        actions = {a.dest: a for a in sp._actions}
-        known = {a.dest for c in commands.values() for a in c._actions} - {"help", "config"}
-        seeded = argparse.Namespace(command=args.command)
-        file_schemes = None
-        for key, text in read_config_file(args.config).items():
-            if key not in known:
-                raise ValueError(f"unknown config key {key!r}")
-            if key == "scheme":
-                # append actions extend their default, so merge by hand
-                file_schemes = _file_value(actions[key], text)
-            elif key in actions:  # another command's key: ignored
-                setattr(seeded, key, _file_value(actions[key], text))
-        args = sp.parse_args(argv[1:], namespace=seeded)
-        if args.scheme is None and file_schemes is not None:
-            args.scheme = file_schemes
-    config = config_from_args(args)
+    try:  # a settings error is reported as a usage error, as argparse's own are
+        if args.config:
+            # parse the command's flags again over a namespace holding the file's
+            # values: argparse fills in only the defaults the namespace lacks, so
+            # explicit flags keep priority and the shared parsers stay unchanged
+            actions = {a.dest: a for a in sp._actions}
+            known = {a.dest for c in commands.values() for a in c._actions} - {"help", "config"}
+            seeded = argparse.Namespace(command=args.command)
+            file_schemes = None
+            for key, text in read_config_file(args.config).items():
+                if key not in known:
+                    raise ValueError(f"unknown config key {key!r}")
+                if key == "scheme":
+                    # append actions extend their default, so merge by hand
+                    file_schemes = _file_value(actions[key], text)
+                elif key in actions:  # another command's key: ignored
+                    setattr(seeded, key, _file_value(actions[key], text))
+            args = sp.parse_args(argv[1:], namespace=seeded)
+            if args.scheme is None and file_schemes is not None:
+                args.scheme = file_schemes
+        config = config_from_args(args)
+    except ValueError as exc:
+        sp.error(str(exc))
     result = run_experiment(config)
     emit_csv(result, args.out)
     print(f"wrote {len(result.rows)} rows to {args.out}")

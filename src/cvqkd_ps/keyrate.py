@@ -123,11 +123,6 @@ def mutual_information(v_a: float, v_b2: float, c_ab2: float) -> float:
     return 0.5 * np.log2(prod / det)
 
 
-def eve_cov(s: CovarianceSummary) -> TwoModeCov:
-    """Eve's unconditional (E, F) covariance matrix."""
-    return TwoModeCov.symmetric(s.v_e, s.v_f, s.c_ef, sign=-1)
-
-
 def conditional_cov_ef_given_b2(s: CovarianceSummary) -> TwoModeCov:
     """Eve's (E, F) covariance after Bob's x homodyne.
 

@@ -7,9 +7,10 @@ fading-channel averages against the beam-wander spread sigma_b (full range
 and close-up).  A fixed-link request is one ``key_rates_many`` call over every
 layer and scheme, and the fading averages of each scheme one call over all
 sigma_b (the scheme's zero crossings are memoised per process, see
-``channel``); ``_POINTS_PER_CALL`` caps the points of a call.  Rows are
-assembled in grid order, so the emitted CSV is byte-identical for a fixed
-configuration; ``emit_csv`` streams it in chunks of rows.
+``channel``); ``_POINTS_PER_CALL`` caps the points of a call.  Both kinds
+share one row assembly, in (layer, point, scheme) order, so the emitted CSV
+is byte-identical for a fixed configuration; ``emit_csv`` formats every row
+with one format string and streams the CSV in chunks of rows.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ DEFAULT_ALPHA_SQ_VALUES = (0.5, 1.0, 1.3, 2.0, 3.0)
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One sweep: experiment kind, schemes, base parameters, axis, channel (threads: no effect)."""
+    """One sweep: experiment kind, schemes, base parameters, axis, channel."""
 
     experiment: str
     schemes: tuple = SCHEMES
@@ -71,7 +72,6 @@ class ExperimentConfig:
     beta_r: float = 1.0
     beam_w: float = 1.0
     quad: QuadratureSpec = field(default_factory=QuadratureSpec)
-    threads: int = 1
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -86,8 +86,6 @@ class ExperimentConfig:
                 raise ValueError(f"--scheme repeats {s}")
         if self.points is not None and self.points < 1:
             raise ValueError(f"--points must be >= 1, got {self.points}")
-        if self.threads < 1:
-            raise ValueError(f"--threads must be >= 1, got {self.threads}")
         start, stop, points = self._bounds()
         inside, outside = _AXIS_RANGE[kind.axis]
         for flag, value in (("--start", start), ("--stop", stop)):
@@ -173,41 +171,37 @@ def run_experiment(config: ExperimentConfig) -> SweepResult:
     kind = EXPERIMENTS[config.experiment]
     axis = config.axis()
     schemes = tuple(config.schemes)
+    layers = [{kind.layer: float(v)} for v in config.layers()] if kind.layer else [{}]
+    cfgs = [dataclasses.replace(config.base, scheme=s, **layer) for layer in layers for s in schemes]
 
+    # each branch gives its points, axis and value columns, and one list of
+    # value cells per point for each (layer, scheme) block of cfgs
     if kind.axis == "sigma_b":
         models = [weibull_params(float(sb), config.beta_r, config.beam_w) for sb in axis]
+        points, columns = [(m.sigma_b,) for m in models], ("sigma_b",)
+        values = ("k_avg", "k_avg_normalized")
         n = max(1, _POINTS_PER_CALL // config.quad.node_count)  # models per call
-        averages = [[avg for i in range(0, len(models), n) for avg in
-                     average_key_rates_many(dataclasses.replace(config.base, scheme=s),
-                                            models[i:i + n], config.quad)]
-                    for s in schemes]
-        rows = [(m.sigma_b, s, per_scheme[i].rate, per_scheme[i].rate_normalized)
-                for i, m in enumerate(models) for s, per_scheme in zip(schemes, averages)]
-        columns = ("sigma_b", "scheme", "k_avg", "k_avg_normalized")
-        return SweepResult(metadata=_metadata(config, axis), columns=columns, rows=tuple(rows))
-
-    if kind.axis == "t_e":
-        t_axis = axis.tolist()
-        points, columns = [(t,) for t in t_axis], ("t_e",)
+        cells = [[(avg.rate, avg.rate_normalized) for i in range(0, len(models), n)
+                  for avg in average_key_rates_many(cfg, models[i:i + n], config.quad)]
+                 for cfg in cfgs]
     else:
-        t_axis = [distance_to_transmissivity(d, config.atten_db_per_km) for d in axis.tolist()]
-        points, columns = list(zip(axis.tolist(), t_axis)), ("distance_km", "t_e")
-    layers = [{}]
-    if kind.layer:
-        layers = [{kind.layer: float(v)} for v in config.layers()]
-        columns = (kind.layer,) + columns
-    fields = KeyRatePoint.CSV_COLUMNS[1:]  # t_e is its own axis column
-    columns += ("scheme",) + fields
+        if kind.axis == "t_e":
+            t_axis = axis.tolist()
+            points, columns = [(t,) for t in t_axis], ("t_e",)
+        else:
+            t_axis = [distance_to_transmissivity(d, config.atten_db_per_km) for d in axis.tolist()]
+            points, columns = list(zip(axis.tolist(), t_axis)), ("distance_km", "t_e")
+        values = KeyRatePoint.CSV_COLUMNS[1:]  # t_e is its own axis column
+        # every block in as few bound calls as the point cap allows
+        n = max(1, _POINTS_PER_CALL // len(t_axis))  # blocks per call
+        # a generator: each call's arrays are dropped once its blocks are cells
+        krs = (kr for i in range(0, len(cfgs), n) for kr in key_rates_many(cfgs[i:i + n], t_axis))
+        cells = [list(zip(*(getattr(kr, c).tolist() for c in values))) for kr in krs]
 
-    # every (layer, scheme) block in as few bound calls as the point cap allows
-    cfgs = [dataclasses.replace(config.base, scheme=s, **layer) for layer in layers for s in schemes]
-    n = max(1, _POINTS_PER_CALL // len(t_axis))  # blocks per call
-    # a generator: each call's arrays are dropped once its blocks are cells
-    krs = (kr for i in range(0, len(cfgs), n) for kr in key_rates_many(cfgs[i:i + n], t_axis))
-    cells = [list(zip(*(getattr(kr, c).tolist() for c in fields))) for kr in krs]
     rows = [tuple(layer.values()) + point + (s,) + cells[i * len(schemes) + k][j]
             for i, layer in enumerate(layers) for j, point in enumerate(points)
             for k, s in enumerate(schemes)]
+    columns = tuple(layers[0]) + columns + ("scheme",) + values  # the layer's column first
     return SweepResult(metadata=_metadata(config, axis), columns=columns, rows=tuple(rows))
 
 
@@ -222,19 +216,21 @@ def _fmt(value) -> str:
 def emit_csv(result: SweepResult, path) -> None:
     """Write `# key=value` metadata, a column header, then the rows.
 
-    Floats carry 12 significant digits; output is newline-terminated and
-    byte-identical for identical results.  The path is opened (and so
-    truncated) before anything is formatted, then written in encoded chunks
-    of _CSV_CHUNK_ROWS rows, so the file text is never held whole.
+    Every row is formatted by one `%` format string: the scheme column as it
+    is, every other column a float of 12 significant digits.  Output is
+    newline-terminated and byte-identical for identical results.  The path is
+    opened (and so truncated) before anything is formatted, then written in
+    encoded chunks of _CSV_CHUNK_ROWS rows, so the file text is never held
+    whole.
     """
     if not result.rows and not result.columns:
         raise ValueError("refusing to emit an empty result")
+    line = ",".join("%s" if c == "scheme" else "%.12g" for c in result.columns) + "\n"
     with open(path, "wb") as fh:
         head = [f"# {k}={_fmt(v)}\n" for k, v in result.metadata.items()]
         head.append(",".join(result.columns) + "\n")
         rows = result.rows
         for i in range(0, max(len(rows), 1), _CSV_CHUNK_ROWS):  # the head goes with chunk 0
-            lines = [",".join(map(_fmt, row)) + "\n" for row in rows[i:i + _CSV_CHUNK_ROWS]]
+            lines = [line % row for row in rows[i:i + _CSV_CHUNK_ROWS]]
             fh.write("".join(head + lines).encode())
             head = []
-

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from cvqkd_ps import (
     CovarianceSummary,
     SchemeConfig,
+    TwoModeCov,
     conditional_cov_ef_given_b2,
-    eve_cov,
     exact_summary,
     key_rate,
     key_rates,
@@ -155,7 +155,7 @@ def test_outputs_physical_and_finite(scheme, alpha_sq, beta_sq, t_s, recon_eff, 
     s = exact_summary(cfg, t_e)
     if s is not None:
         # both calls holevo_bound makes, without the domain guard firing
-        symplectic_eigenvalues(eve_cov(s))
+        symplectic_eigenvalues(TwoModeCov.symmetric(s.v_e, s.v_f, s.c_ef))
         symplectic_eigenvalues(conditional_cov_ef_given_b2(s))
 
 
@@ -173,7 +173,7 @@ def test_array_kernel_matches_single_points(scheme, alpha_sq, beta_sq, t_s, t_e)
     assert [batch.at(i) for i in range(len(t_e))] == [key_rate(cfg, t) for t in t_e]
     assert np.all((batch.p_sub >= 0.0) & (batch.p_sub <= 1.0))
     s = exact_summary(cfg, np.array(t_e))
-    for m in (eve_cov(s), conditional_cov_ef_given_b2(s)):
+    for m in (TwoModeCov.symmetric(s.v_e, s.v_f, s.c_ef), conditional_cov_ef_given_b2(s)):
         assert np.all(symplectic_eigenvalues(m)[1] >= 1.0)
 
 

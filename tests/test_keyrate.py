@@ -18,7 +18,6 @@ from cvqkd_ps import (
     SchemeConfig,
     TwoModeCov,
     conditional_cov_ef_given_b2,
-    eve_cov,
     holevo_bound,
     key_rate,
     key_rates,
@@ -87,7 +86,7 @@ def test_symplectic_eigenvalues_next_to_full_transmission(scheme, beta_sq, tol):
 
     mpmath.mp.dps = 40
     s = exact_summary(SchemeConfig(scheme, beta_sq=beta_sq), _NEAR_ONE)
-    for block in (eve_cov(s), conditional_cov_ef_given_b2(s)):
+    for block in (TwoModeCov.symmetric(s.v_e, s.v_f, s.c_ef), conditional_cov_ef_given_b2(s)):
         entries = [np.broadcast_to(getattr(block, k), _NEAR_ONE.shape)
                    for k in ("ax", "ap", "bx", "bp", "cx", "cp")]
         got = symplectic_eigenvalues(TwoModeCov(*entries))
@@ -139,13 +138,13 @@ def test_mi_errors():
 def test_conditioning_on_uncorrelated_mode_is_identity():
     s = CovarianceSummary(3.6, 2.0, 2.5, 1.1, 1.0, 0.3, 0.0, 0.0, 1.0)
     cond = conditional_cov_ef_given_b2(s)
-    assert cond == eve_cov(s)
+    assert cond == TwoModeCov.symmetric(s.v_e, s.v_f, s.c_ef)
 
 
 def test_noisy_measurement_limit():
     base = CovarianceSummary(3.6, 1e12, 2.5, 1.1, 0.0, 0.3, 0.8, 0.5, 1.0)
     cond = conditional_cov_ef_given_b2(base)
-    ref = eve_cov(base)
+    ref = TwoModeCov.symmetric(base.v_e, base.v_f, base.c_ef)
     assert cond.ax == pytest.approx(ref.ax, abs=1e-10)
     assert cond.bx == pytest.approx(ref.bx, abs=1e-10)
     assert cond.cx == pytest.approx(ref.cx, abs=1e-10)
@@ -153,8 +152,8 @@ def test_noisy_measurement_limit():
 
 def _holevo_block_by_block(s):
     """chi with one symplectic_eigenvalues call per block, in the same g order."""
-    g = [von_neumann_g(v) for m in (eve_cov(s), conditional_cov_ef_given_b2(s))
-         for v in symplectic_eigenvalues(m)]
+    blocks = (TwoModeCov.symmetric(s.v_e, s.v_f, s.c_ef), conditional_cov_ef_given_b2(s))
+    g = [von_neumann_g(v) for m in blocks for v in symplectic_eigenvalues(m)]
     return g[0] + g[1] - g[2] - g[3]
 
 

@@ -8,7 +8,7 @@ PUBLIC = {
     "KeyRatePoint", "NO_PS", "NumericalDomainError", "QuadratureSpec", "R_PS", "SCHEMES",
     "SchemeConfig", "SweepResult", "T_PS", "TwoModeCov", "average_key_rates",
     "average_key_rates_many", "bessel_ive", "cdf", "conditional_cov_ef_given_b2",
-    "distance_to_transmissivity", "emit_csv", "eve_cov", "exact_summary", "holevo_bound",
+    "distance_to_transmissivity", "emit_csv", "exact_summary", "holevo_bound",
     "inverse_cdf", "key_rate", "key_rates", "key_rates_many", "mean_transmissivity",
     "mutual_information", "pdf", "run_experiment", "symplectic_eigenvalues", "von_neumann_g",
     "weibull_params",

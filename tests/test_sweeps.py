@@ -5,6 +5,7 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cvqkd_ps.channel as channel_mod
@@ -154,13 +155,13 @@ def test_emit_deterministic(tmp_path):
 
 @pytest.mark.parametrize("experiment", ["transmissivity_sweep", "satellite_sweep"])
 def test_worker_count_does_not_change_bytes(tmp_path, experiment):
-    paths = []
-    for threads in (1, 4):
-        config = small_config(experiment, threads=threads)
-        p = tmp_path / f"{experiment}-{threads}.csv"
-        emit_csv(run_experiment(config), p)
-        paths.append(p)
-    assert paths[0].read_bytes() == paths[1].read_bytes()
+    # --threads is accepted and ignored: no value of it changes a byte
+    blobs = []
+    for threads in ([], ["--threads", "1"], ["--threads", "8"]):
+        out = tmp_path / f"out-{len(blobs)}.csv"
+        cli_main([experiment.replace("_", "-"), "--points", "3", *threads, "--out", str(out)])
+        blobs.append(out.read_bytes())
+    assert blobs[0] == blobs[1] == blobs[2]
 
 
 def test_a_shorter_result_overwrites_a_longer_csv_exactly(tmp_path):
@@ -204,14 +205,23 @@ def _text_mode_csv(result, path):
         fh.writelines(",".join(map(sweeps_mod._fmt, row)) + "\n" for row in result.rows)
 
 
+# emit_csv writes these with %.12g, the reference writer with _fmt's f"{x:.12g}"
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.0, 1e16, sys.float_info.max,
+                math.inf, -math.inf, math.nan, np.float64(0.1))
+
+
 @pytest.fixture(scope="module")
 def csv_results():
-    """The six default results, a one-point satellite request and a two-layer grid."""
+    """The six default results, a one-point satellite request, a two-layer grid
+    and a result of edge floats."""
     results = {name: run_experiment(ExperimentConfig(name)) for name in sweeps_mod.EXPERIMENTS}
     results["one_point_satellite"] = run_experiment(ExperimentConfig(
         "satellite_sweep", schemes=("tps",), start=5.2, stop=5.2, points=1))
     results["two_layer_grid"] = run_experiment(ExperimentConfig(
         "noise_grid", points=4, beta_sq_values=(0.0, 0.05)))
+    results["edge_floats"] = sweeps_mod.SweepResult(
+        {"experiment": "edges"}, ("x", "scheme", "y"),
+        tuple((x, "tps", -x) for x in _EDGE_FLOATS))
     return results
 
 
@@ -249,7 +259,7 @@ def test_emit_csv_writes_into_a_fifo(monkeypatch, tmp_path, csv_results):
 
 def test_a_failed_write_leaves_no_bytes_of_the_previous_csv(tmp_path):
     class Unprintable:
-        def __str__(self):
+        def __float__(self):
             raise RuntimeError("cannot format")
 
     path, fresh = tmp_path / "out.csv", tmp_path / "fresh.csv"
@@ -257,8 +267,8 @@ def test_a_failed_write_leaves_no_bytes_of_the_previous_csv(tmp_path):
     longer = path.stat().st_size
     result = run_experiment(small_config("transmissivity_sweep", points=2))
     emit_csv(result, fresh)
-    bad = sweeps_mod.SweepResult(result.metadata, result.columns,
-                                 result.rows[:1] + ((Unprintable(),),))
+    bad_row = result.rows[1][:-1] + (Unprintable(),)  # a full-width row
+    bad = sweeps_mod.SweepResult(result.metadata, result.columns, result.rows[:1] + (bad_row,))
     with pytest.raises(RuntimeError, match="cannot format"):
         emit_csv(bad, path)
     left = path.read_bytes()  # at most a prefix of the new CSV, never the old tail
@@ -285,6 +295,19 @@ def test_metadata_contents():
 
 
 # ------------------------------------------------------------------------ CLI
+
+def _usage_error(capsys, argv):
+    """The message of a settings error in argv, which the CLI must report as a
+    usage error: exit status 2, the command's usage line, no traceback."""
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(argv)
+    assert exit_.value.code == 2
+    err, prog = capsys.readouterr().err, f"cvqkd-ps {argv[0]}"
+    assert err.startswith(f"usage: {prog} ") and "Traceback" not in err
+    _, found, message = err.partition(f"\n{prog}: error: ")
+    assert found and message.endswith("\n"), err
+    return message[:-1]
+
 
 def test_cli_writes_csv(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
@@ -319,11 +342,11 @@ def test_cli_satellite_flags(tmp_path):
 
 
 @pytest.mark.parametrize("clamp", ["--clamp-negative", "--no-clamp-negative"])
-def test_the_least_node_budget_is_the_one_the_rule_uses(tmp_path, clamp):
+def test_the_least_node_budget_is_the_one_the_rule_uses(tmp_path, capsys, clamp):
     # each positive segment takes at least 16 nodes, so --nodes 15 is refused
     # rather than run as 16, and from 16 on each budget gives its own rows
-    with pytest.raises(ValueError, match=r"^--nodes must be >= 16, got 15$"):
-        cli_main(["satellite-closeup", clamp, "--nodes", "15", "--out", str(tmp_path / "x")])
+    argv = ["satellite-closeup", clamp, "--nodes", "15", "--out", str(tmp_path / "x")]
+    assert _usage_error(capsys, argv) == "--nodes must be >= 16, got 15"
     rows = []
     for nodes in ("16", "17"):
         out = tmp_path / f"closeup-{nodes}.csv"
@@ -334,16 +357,16 @@ def test_the_least_node_budget_is_the_one_the_rule_uses(tmp_path, clamp):
     assert rows[0] != rows[1]
 
 
-def test_a_node_budget_above_the_ceiling_is_refused_by_name(monkeypatch, tmp_path):
+def test_a_node_budget_above_the_ceiling_is_refused_by_name(monkeypatch, tmp_path, capsys):
     # refused before any rule is built: a rule of n nodes is a dense n x n eigensolve
     monkeypatch.setattr(channel_mod, "_unit_interval_rule", None)
     out = str(tmp_path / "x.csv")
-    with pytest.raises(ValueError, match=r"^--nodes must be <= 2048, got 2049$"):
-        cli_main(["satellite-sweep", "--nodes", "2049", "--out", out])
+    message = "--nodes must be <= 2048, got 2049"
+    assert _usage_error(capsys, ["satellite-sweep", "--nodes", "2049", "--out", out]) == message
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("nodes = 2049\n")
-    with pytest.raises(ValueError, match=r"^--nodes must be <= 2048, got 2049$"):
-        cli_main(["satellite-closeup", "--config", str(cfg_file), "--out", out])
+    argv = ["satellite-closeup", "--config", str(cfg_file), "--out", out]
+    assert _usage_error(capsys, argv) == message
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -383,11 +406,12 @@ def test_cli_config_file_does_not_leak_into_the_next_call(tmp_path):
     assert (md["points"], md["alpha_sq"], md["schemes"]) == ("51", "1.3", "nops,tps,rps")
 
 
-def test_cli_rejects_unknown_config_key(tmp_path):
-    bad = tmp_path / "bad.cfg"
+def test_cli_rejects_unknown_config_key(tmp_path, capsys):
+    bad, out = tmp_path / "bad.cfg", tmp_path / "out.csv"
     bad.write_text("no_such_key = 1\n")
-    with pytest.raises(ValueError):
-        cli_main(["transmissivity-sweep", "--config", str(bad)])
+    argv = ["transmissivity-sweep", "--config", str(bad), "--out", str(out)]
+    assert _usage_error(capsys, argv) == "unknown config key 'no_such_key'"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -406,18 +430,16 @@ def test_cli_rejects_unknown_config_key(tmp_path):
     (["satellite-sweep", "--start", "0"], "--start is sigma_b and must be > 0, got 0"),
     (["satellite-closeup", "--stop", "-1"], "--stop is sigma_b and must be > 0, got -1"),
 ])
-def test_cli_rejects_an_invalid_axis_by_flag(tmp_path, argv, message):
+def test_cli_rejects_an_invalid_axis_by_flag(tmp_path, capsys, argv, message):
     out = tmp_path / "out.csv"
-    with pytest.raises(ValueError) as err:
-        cli_main(argv + ["--out", str(out)])
-    assert str(err.value) == message
+    assert _usage_error(capsys, argv + ["--out", str(out)]) == message
     assert not out.exists()
 
 
 @pytest.mark.parametrize("command,key,value,extra,message", [
     ("transmissivity-sweep", "points", "0", [], "--points must be >= 1, got 0"),
     ("satellite-sweep", "nodes", "1", [], "--nodes must be >= 16, got 1"),
-    ("distance-sweep", "threads", "0", [], "--threads must be >= 1, got 0"),
+    ("distance-sweep", "points", "-1", [], "--points must be >= 1, got -1"),
     ("transmissivity-sweep", "log_axis", "on", [], "--log-axis needs --start > 0, got 0"),
     ("distance-sweep", "log_axis", "on", [], "--log-axis needs --start > 0, got 0"),
     ("transmissivity-sweep", "log_axis", "on", ["--start", "0.5", "--stop", "0"],
@@ -428,15 +450,13 @@ def test_cli_rejects_an_invalid_axis_by_flag(tmp_path, argv, message):
     ("satellite-sweep", "beta_r", "-1", [], "--beta-r must be finite and > 0, got -1"),
     ("satellite-closeup", "beta_r", "0", [], "--beta-r must be finite and > 0, got 0"),
 ])
-def test_cli_rejects_an_out_of_range_setting_by_flag(tmp_path, command, key, value, extra,
-                                                    message):
+def test_cli_rejects_an_out_of_range_setting_by_flag(tmp_path, capsys, command, key, value,
+                                                    extra, message):
     flag = "--" + key.replace("_", "-")
     cfg_file, out = tmp_path / "run.cfg", tmp_path / "out.csv"
     cfg_file.write_text(f"{key} = {value}\n")
     for argv in ([flag] if key == "log_axis" else [flag, value], ["--config", str(cfg_file)]):
-        with pytest.raises(ValueError) as err:
-            cli_main([command] + argv + extra + ["--out", str(out)])
-        assert str(err.value) == message
+        assert _usage_error(capsys, [command] + argv + extra + ["--out", str(out)]) == message
         assert not out.exists()
 
 
@@ -454,46 +474,42 @@ def test_a_one_point_log_axis_is_its_stop(tmp_path):
 
 
 @pytest.mark.parametrize("text", ["scheme =\n", "scheme = ,\n", "scheme = , ,\n"])
-def test_cli_config_file_rejects_an_empty_scheme_list(tmp_path, text):
+def test_cli_config_file_rejects_an_empty_scheme_list(tmp_path, capsys, text):
     cfg_file, out = tmp_path / "run.cfg", tmp_path / "out.csv"
     cfg_file.write_text(text)
-    with pytest.raises(ValueError) as err:
-        cli_main(["transmissivity-sweep", "--config", str(cfg_file), "--out", str(out)])
-    assert str(err.value) == "config key 'scheme' names no scheme"
+    argv = ["transmissivity-sweep", "--config", str(cfg_file), "--out", str(out)]
+    assert _usage_error(capsys, argv) == "config key 'scheme' names no scheme"
     assert not out.exists()
 
 
 @pytest.mark.parametrize("second", ["alpha_sq = 2", "alpha-sq = 2", "alpha_sq = 1"])
-def test_cli_config_file_rejects_a_repeated_key(tmp_path, second):
+def test_cli_config_file_rejects_a_repeated_key(tmp_path, capsys, second):
     cfg_file, out = tmp_path / "run.cfg", tmp_path / "out.csv"
     cfg_file.write_text(f"alpha_sq = 1\n# comment\n{second}\n")
-    with pytest.raises(ValueError) as err:
-        cli_main(["transmissivity-sweep", "--config", str(cfg_file), "--out", str(out)])
-    assert str(err.value) == "config key 'alpha_sq' is given twice"
+    argv = ["transmissivity-sweep", "--config", str(cfg_file), "--out", str(out)]
+    assert _usage_error(capsys, argv) == "config key 'alpha_sq' is given twice"
     assert not out.exists()
 
 
 @pytest.mark.parametrize("key,value", [("points", ""), ("points", "2.5"), ("alpha_sq", "x"),
                                        ("beta_sq_values", "0.1,x"), ("t_s", "")])
-def test_cli_config_file_names_a_value_its_flag_rejects(tmp_path, key, value):
+def test_cli_config_file_names_a_value_its_flag_rejects(tmp_path, capsys, key, value):
     cfg_file, out = tmp_path / "run.cfg", tmp_path / "out.csv"
     cfg_file.write_text(f"{key} = {value}\n")
-    with pytest.raises(ValueError) as err:
-        cli_main(["noise-grid", "--config", str(cfg_file), "--out", str(out)])
-    assert str(err.value) == f"config key {key!r} has an invalid value {value!r}"
+    argv = ["noise-grid", "--config", str(cfg_file), "--out", str(out)]
+    assert _usage_error(capsys, argv) == f"config key {key!r} has an invalid value {value!r}"
     assert not out.exists()
 
 
 @pytest.mark.parametrize("command,flag", [("noise-grid", "--beta-sq-values"),
                                           ("photon-grid", "--alpha-sq-values")])
-def test_cli_rejects_an_empty_layer_list(tmp_path, command, flag):
+def test_cli_rejects_an_empty_layer_list(tmp_path, capsys, command, flag):
     out = tmp_path / "out.csv"
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(f"{flag[2:]} =\n")
     for argv in ([flag, ","], ["--config", str(cfg_file)]):
-        with pytest.raises(ValueError) as err:
-            cli_main([command] + argv + ["--out", str(out)])
-        assert str(err.value) == f"{flag} must name at least one layer"
+        message = _usage_error(capsys, [command] + argv + ["--out", str(out)])
+        assert message == f"{flag} must name at least one layer"
         assert not out.exists()
 
 
@@ -503,15 +519,14 @@ def test_cli_rejects_an_empty_layer_list(tmp_path, command, flag):
     ("photon-grid", "--alpha-sq-values", "nan"),
     ("photon-grid", "--alpha-sq-values", "1.3,-inf"),
 ])
-def test_cli_rejects_an_invalid_layer_value(tmp_path, command, flag, value):
+def test_cli_rejects_an_invalid_layer_value(tmp_path, capsys, command, flag, value):
     out = tmp_path / "out.csv"
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(f"{flag[2:]} = {value}\n")
     bad = value.split(",")[-1]
     for argv in ([f"{flag}={value}"], ["--config", str(cfg_file)]):
-        with pytest.raises(ValueError) as err:
-            cli_main([command] + argv + ["--out", str(out)])
-        assert str(err.value) == f"{flag} must be finite and >= 0, got {bad}"
+        message = _usage_error(capsys, [command] + argv + ["--out", str(out)])
+        assert message == f"{flag} must be finite and >= 0, got {bad}"
         assert not out.exists()
 
 
@@ -543,7 +558,7 @@ _SWITCH_RUNS = {"log_axis": ["transmissivity-sweep", "--start", "0.1", "--stop",
 
 
 @pytest.mark.parametrize("key", sorted(_SWITCH_RUNS))
-def test_cli_config_file_switch_words(tmp_path, key):
+def test_cli_config_file_switch_words(tmp_path, capsys, key):
     cfg_file, out = tmp_path / "run.cfg", tmp_path / "out.csv"
     for word, on in (("1", True), ("TRUE", True), ("Yes", True), ("on", True),
                      ("0", False), ("False", False), ("NO", False), ("off", False)):
@@ -552,9 +567,10 @@ def test_cli_config_file_switch_words(tmp_path, key):
         assert parse_csv(out).metadata[key] == ("true" if on else "false"), word
     out.unlink()
     cfg_file.write_text(f"{key} = ture\n")
-    with pytest.raises(ValueError) as err:
-        cli_main(_SWITCH_RUNS[key] + ["--config", str(cfg_file), "--out", str(out)])
-    assert repr(key) in str(err.value) and "'ture'" in str(err.value)
+    capsys.readouterr()  # the runs above print their row counts
+    message = _usage_error(capsys, _SWITCH_RUNS[key] + ["--config", str(cfg_file),
+                                                        "--out", str(out)])
+    assert repr(key) in message and "'ture'" in message
     assert not out.exists()
 
 
@@ -680,7 +696,7 @@ def test_every_flag_changes_the_rows(tmp_path, experiment):
     ("noise-grid", "beta_sq_values", "0.1,0.1"),
     ("photon-grid", "alpha_sq_values", "1.3,2,1.3"),
 ])
-def test_cli_rejects_repeats_by_flag(tmp_path, command, key, value):
+def test_cli_rejects_repeats_by_flag(tmp_path, capsys, command, key, value):
     # each repeat would write its rows twice under the same key
     flag, repeated = "--" + key.replace("_", "-"), value.split(",")[-1]
     cfg_file, out = tmp_path / "run.cfg", tmp_path / "out.csv"
@@ -688,9 +704,8 @@ def test_cli_rejects_repeats_by_flag(tmp_path, command, key, value):
     flags = ([a for s in value.split(",") for a in (flag, s)] if key == "scheme"
              else [flag, value])
     for argv in (flags, ["--config", str(cfg_file)]):
-        with pytest.raises(ValueError) as err:
-            cli_main([command] + argv + ["--out", str(out)])
-        assert str(err.value) == f"{flag} repeats {repeated}"
+        message = _usage_error(capsys, [command] + argv + ["--out", str(out)])
+        assert message == f"{flag} repeats {repeated}"
         assert not out.exists()
 
 
