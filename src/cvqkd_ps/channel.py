@@ -18,10 +18,14 @@ u only through T_E = eta(u)^2, which rises with u, so its zero crossings are
 found in eta = sqrt(T_E) by a scan on Chebyshev-Lobatto panels, whose
 interpolants give the roots by safeguarded Newton steps (stacked refine
 rounds only where a root is not yet resolved), then mapped to u with the
-CDF.  They depend on the law only through eta0, so they are memoised per
-(config, eta0) for the process, each kept as the sigma_b-free term y of its
-CDF: a warm average maps each y to u with the sigma_b of its model and makes
-one key_rates call, the nodes.
+CDF.  The same scan is the rate curve: piecewise Chebyshev interpolants of
+rate and rate_raw in eta, a panel bisected until its top coefficients are
+below tolerance or at the bound's own rounding noise (Trefethen, Approximation
+Theory and Approximation Practice, 2013).  The nodes read the curve; no node
+calls the bound.  Crossings and curve depend on the law only through eta0, so
+they are memoised per (config, eta0) for the process, each crossing kept as
+the sigma_b-free term y of its CDF: a warm average maps each y to u with the
+sigma_b of its model and makes no key_rates call.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .exact import SchemeConfig
-from .keyrate import KeyRatePoint, NumericalDomainError, key_rates
+from .keyrate import NumericalDomainError, key_rates
 
 _SERIES_MAX_TERMS = 400
 _HANKEL_FROM = 50.0  # the power series below this argument, Hankel's expansion above
@@ -289,18 +293,23 @@ def _unit_interval_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 _NEWTON_STEPS = 60  # bisection alone narrows a cell to 1e-15 in s within 48
 _ROOT_TTOL, _REFINE_ROUNDS = 1e-12, 4  # the refine's error bound on T* and its round cap
 _PANELS = 24  # scan panels, 16 _PANELS + 1 points; more cost more than the rare refine they save
+# the rate curve (see _curve): pure rounding noise reads at most 0.72 of the change
+# a _SHIFT of T_E (4 ulps of 1) makes; the caps are not knobs, and grading toward
+# T_E = 1 takes 19 rounds at eta0 = 1 - 7.6e-9 and 29 at eta0 = 1
+_CURVE_RTOL, _NOISE_FACTOR, _NOISE_MAX, _SHIFT = 1e-13, 4.0, 1e-6, 2.0**-50
+_CURVE_ROUNDS, _CURVE_PANELS = 60, 1024
 
 
-def _rates(cfg: SchemeConfig, t, stage: str, label, starts: list, u=None) -> KeyRatePoint:
-    """key_rates at t, which holds block k from starts[k] on; a NumericalDomainError
-    (which names t_e) also names the block, label(k), the stage, element and u."""
+def _rates(cfg: SchemeConfig, eta0: float, stage: str, eta: np.ndarray) -> np.ndarray:
+    """rate and rate_raw at T_E = eta^2, stacked; a NumericalDomainError (which names
+    t_e) also names eta0, which every sigma_b of this geometry shares, the stage and
+    the element."""
     try:
-        return key_rates(cfg, t)
+        kr = key_rates(cfg, eta**2)
     except NumericalDomainError as exc:
-        i = getattr(exc, "index", 0)
-        k = int(np.searchsorted(starts, i, side="right")) - 1
-        at = "" if u is None else f" (u={u[i]:.6g})"
-        raise NumericalDomainError(f"{exc} at {label(k)}, {stage} {i - starts[k]}{at}") from exc
+        raise NumericalDomainError(
+            f"{exc} at eta0={eta0:.6g}, {stage} {getattr(exc, 'index', 0)}") from exc
+    return np.stack([kr.rate, kr.rate_raw])
 
 
 def _clenshaw(c: list, x: float) -> float:
@@ -356,21 +365,27 @@ def _lobatto() -> tuple[np.ndarray, np.ndarray]:
     return -np.cos(np.pi * k[0] / 16), np.vstack([fit, half, d @ fit])
 
 
-def _find_crossings(cfg: SchemeConfig, eta0: float) -> tuple[bool, tuple]:
+def _scan(cfg: SchemeConfig, eta0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Round 0 of the crossing search and of the rate curve: _PANELS even panels of
+    [0, eta0] with 17 Lobatto points each (neighbours share their ends), sampled in
+    one call.  Their eta, one row per panel, and rate and rate_raw there, stacked."""
+    nodes, _ = _lobatto()
+    eta = np.append((eta0 / _PANELS) * (np.arange(_PANELS)[:, None] + (1.0 + nodes[:-1]) / 2.0),
+                    eta0)
+    f = _rates(cfg, eta0, "scan", eta)
+    panels = np.arange(0, 16 * _PANELS, 16)[:, None] + np.arange(17)
+    return eta[panels], f[:, panels]
+
+
+def _find_crossings(cfg: SchemeConfig, eta0: float, x: np.ndarray, f: np.ndarray) -> tuple:
     """Whether rate_raw > 0 at T_E = 0, and its zero crossings T* in [0, eta0^2], in
-    eta = sqrt(T_E), where rate_raw is analytic.  The scan is round 0: _PANELS
-    even panels of 17 Lobatto points each (neighbours share their ends) in one call.  Each
+    eta = sqrt(T_E), where rate_raw is analytic, from the panels (x, f) of _scan.  Each
     sign change between adjacent samples is solved on its panel's interpolant inside
     its own cell by _newton; a root the degree-8 interpolant moves by over _ROOT_TTOL
     narrows to that cell, and each later round samples Lobatto points in all such cells
     in one call."""
     nodes, fit = _lobatto()
-    where = f"eta0={eta0:.6g}"  # the one block: every sigma_b of this eta0
-    eta = np.append((eta0 / _PANELS) * (np.arange(_PANELS)[:, None] + (1.0 + nodes[:-1]) / 2.0),
-                    eta0)
-    f = _rates(cfg, eta**2, "scan", lambda k: where, [0]).rate_raw
-    panels = np.arange(0, 16 * _PANELS, 16)[:, None] + np.arange(17)
-    x, y = eta[panels], f[panels]
+    y = f[1]
     roots, round_ = [], 0
     while True:
         brackets, coef = [], y @ fit.T
@@ -385,27 +400,88 @@ def _find_crossings(cfg: SchemeConfig, eta0: float) -> tuple[bool, tuple]:
             else:
                 brackets.append((xs[j:j + 2], ys[j:j + 2]))
         if not brackets:
-            return bool(f[0] > 0.0), tuple(sorted(roots))
+            return bool(f[1, 0, 0] > 0.0), tuple(sorted(roots))
         round_ += 1
         ends, f_ends = map(np.array, zip(*brackets))
         x = ends @ np.array([(1.0 - nodes) / 2.0, (1.0 + nodes) / 2.0])
-        inner = _rates(cfg, (x[:, 1:-1] ** 2).ravel(), "refine", lambda k: where, [0]).rate_raw
+        inner = _rates(cfg, eta0, "refine", x[:, 1:-1].ravel())[1]
         y = np.column_stack([f_ends[:, 0], inner.reshape(len(x), -1), f_ends[:, 1]])
 
 
+def _curve(cfg: SchemeConfig, eta0: float, x: np.ndarray, f: np.ndarray) -> tuple:
+    """The piecewise Chebyshev interpolant of rate and rate_raw in eta on [0, eta0]:
+    the panel edges, and the coefficients of each curve on each panel, (2, panels, 17).
+
+    It starts from the panels (x, f) of _scan.  A panel passes once its coefficients
+    14-16 of each curve lie below _CURVE_RTOL of that curve's largest scan sample.  One
+    that fails is bisected, unless those coefficients are the bound's own rounding
+    noise, which no bisection lowers: within _NOISE_FACTOR of the largest change of its
+    samples under a shift of T_E by _SHIFT.  Each round samples the shifted points and
+    the halves of every failing panel in one call.  A curve whose noise passes
+    _NOISE_MAX of its scale, or still unresolved after _CURVE_ROUNDS rounds or past
+    _CURVE_PANELS panels, raises a NumericalDomainError naming eta0 and the eta
+    interval of the first failing panel.
+    """
+    nodes, fit = _lobatto()
+    scale = np.abs(f).max(axis=(1, 2))[:, None]
+
+    def unresolved(a: float, b: float, why: str) -> NumericalDomainError:
+        return NumericalDomainError(f"rate curve not resolved at eta0={eta0:.6g}: "
+                                    f"eta in [{a:.17g}, {b:.17g}], {why}")
+
+    lo, hi = x[:, 0], x[:, -1]
+    los, coefs = [], []
+    for round_ in range(_CURVE_ROUNDS + 1):
+        coef = f @ fit[:17].T
+        tail = np.abs(coef[:, :, 14:]).max(axis=2)
+        bad = (tail > _CURVE_RTOL * scale).any(axis=0)
+        if bad.any():
+            n, i = np.count_nonzero(bad), np.argmax(bad)
+            if round_ == _CURVE_ROUNDS or sum(map(len, los)) + len(lo) + n > _CURVE_PANELS:
+                raise unresolved(lo[i], hi[i], f"after {round_} bisections")
+            t = x[bad] ** 2
+            mid = (lo[bad] + hi[bad]) / 2.0
+            lo2, hi2 = np.concatenate([lo[bad], mid]), np.concatenate([mid, hi[bad]])
+            x2 = lo2[:, None] + (hi2 - lo2)[:, None] * ((1.0 + nodes) / 2.0)
+            shifted = np.sqrt(np.where(t < 0.5, t + _SHIFT, t - _SHIFT))
+            g = _rates(cfg, eta0, "curve", np.concatenate([shifted.ravel(), x2.ravel()]))
+            g = g.reshape(2, 3 * n, 17)
+            noise = _NOISE_FACTOR * np.abs(g[:, :n] - f[:, bad]).max(axis=2)
+            loud = noise > _NOISE_MAX * scale
+            if loud.any():
+                c, j = np.argwhere(loud)[0]
+                raise unresolved(lo2[j], hi2[n + j], "where the bound's rounding noise is "
+                                 f"{noise[c, j] / scale[c, 0]:.1e} of the curve's scale")
+            split = ~(tail[:, bad] <= np.maximum(_CURVE_RTOL * scale, noise)).all(axis=0)
+            bad[bad] = split
+        los.append(lo[~bad])
+        coefs.append(coef[:, ~bad])
+        if not bad.any():
+            break
+        halves = np.concatenate([split, split])
+        lo, hi, x, f = lo2[halves], hi2[halves], x2[halves], g[:, n:][:, halves]
+    lo = np.concatenate(los)
+    order = np.argsort(lo)
+    return np.append(lo[order], eta0), np.concatenate(coefs, axis=1)[:, order]
+
+
 @lru_cache(maxsize=64)
-def _crossings(cfg: SchemeConfig, eta0: float) -> tuple[bool, np.ndarray]:
+def _crossings(cfg: SchemeConfig, eta0: float) -> tuple:
     """The crossings of _find_crossings as the part of their u* = cdf(sqrt(T*)) that
-    sigma_b does not enter: whether rate_raw > 0 on the first u-segment, and the
-    read-only y of _law_terms at each T* inside (0, eta0^2).  A T* at 0 (u* = 0)
-    only flips the first segment's sign, and one at eta0^2 (u* = 1) ends the last,
-    so neither is kept.  Memoised per (config, eta0) for the process (a
-    NumericalDomainError is raised again, not cached)."""
-    positive, roots = _find_crossings(cfg, eta0)
+    sigma_b does not enter, and the rate curve of _curve, from one _scan: whether
+    rate_raw > 0 on the first u-segment, the y of _law_terms at each T* inside
+    (0, eta0^2), the curve's panel edges and its coefficients, all read-only.  A T*
+    at 0 (u* = 0) only flips the first segment's sign, and one at eta0^2 (u* = 1) ends
+    the last, so neither is kept.  Memoised per (config, eta0) for the process (a
+    NumericalDomainError is raised again, not cached); at most 1024 panels, 0.29 MB."""
+    x, f = _scan(cfg, eta0)
+    positive, roots = _find_crossings(cfg, eta0, x, f)
     eta, inside, _, y = _law_terms(eta0, np.sqrt(roots))
     y = y[inside]
-    y.flags.writeable = False
-    return positive != bool(np.count_nonzero(eta <= 0.0) % 2), y
+    edges, coef = _curve(cfg, eta0, x, f)
+    for table in (y, edges, coef):
+        table.flags.writeable = False
+    return positive != bool(np.count_nonzero(eta <= 0.0) % 2), y, edges, coef
 
 
 def _positive_region(model: FadingModel, positive: bool, y: np.ndarray) -> list:
@@ -430,31 +506,53 @@ def _nodes(segments: list, node_count: int) -> tuple[np.ndarray, np.ndarray]:
             np.concatenate([np.empty(0)] + [h * ws for _, h, _, ws in rules]))
 
 
+def _chebyshev_rows(s: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """w T_j(s) for j = 0 to 16, one row each, by the three-term recurrence."""
+    t, s2 = np.empty((17, len(s))), 2.0 * s
+    t[0], t[1] = w, s * w
+    for j in range(2, 17):
+        np.multiply(s2, t[j - 1], out=t[j])
+        np.subtract(t[j], t[j - 2], out=t[j])
+    return t
+
+
 def average_key_rates_many(cfg: SchemeConfig, models, quad: QuadratureSpec) -> list:
     """Fading-channel averages of rate and rate_normalized, one per model.
 
     Unclamped: one Gauss-Legendre rule over u in (0, 1) applied to the signed
     integrand.  Clamped: the integral runs over the located positive region
-    only (exact rewriting of the max(K, 0) integrand), its crossings found
-    once per (cfg, eta0) per process by the memoised _crossings; an empty
-    region gives 0.  All nodes go through one array call, and each model's
-    reduction runs in its own fixed node order, so every average is
-    bit-identical to a one-model call.
+    only (exact rewriting of the max(K, 0) integrand); an empty region gives 0.
+    The nodes read rate and rate_raw off the rate curve of the memoised
+    _crossings, so none calls the bound.  The weighted Chebyshev rows of all
+    nodes come from one recurrence; each model sums them over its runs of
+    nodes on one panel and contracts the sums with those panels'
+    coefficients, in its own fixed order, so every average is bit-identical to
+    a one-model call.
     """
-    rules, starts = [], [0]
+    curves, s, w = [], [], []
     for model in models:
-        segments = [(0.0, 1.0)]
-        if quad.clamp_negative:
-            segments = _positive_region(model, *_crossings(cfg, model.eta0))
-        rules.append(_nodes(segments, quad.node_count))
-        starts.append(starts[-1] + len(rules[-1][0]))  # where each model's nodes begin
-    if starts[-1] == 0:
-        return [AveragedKeyRate(0.0, 0.0) for _ in rules]
-    u = np.concatenate([us for us, _ in rules])
-    t = np.concatenate([inverse_cdf(m, us) ** 2 for m, (us, _) in zip(models, rules)])
-    kr = _rates(cfg, t, "node", lambda k: f"sigma_b={models[k].sigma_b:.6g}", starts, u)
-    return [AveragedKeyRate(float(w @ kr.rate[a:b]), float(w @ kr.rate_raw[a:b]))
-            for (_, w), a, b in zip(rules, starts, starts[1:])]
+        positive, y, edges, coef = _crossings(cfg, model.eta0)
+        segments = _positive_region(model, positive, y) if quad.clamp_negative else [(0.0, 1.0)]
+        us, ws = _nodes(segments, quad.node_count)
+        eta = inverse_cdf(model, us)
+        k = np.minimum(np.searchsorted(edges, eta, side="right"), len(edges) - 1) - 1
+        lo, hi = edges[k], edges[k + 1]  # the panel of each node; eta0 closes the last
+        s.append((2.0 * eta - lo - hi) / (hi - lo))
+        w.append(ws)
+        curves.append((k, coef))
+    rows = _chebyshev_rows(np.concatenate([np.empty(0), *s]), np.concatenate([np.empty(0), *w]))
+    out, a = [], 0
+    for k, coef in curves:
+        b = a + len(k)
+        if a == b:
+            out.append(AveragedKeyRate(0.0, 0.0))
+            continue
+        runs = np.flatnonzero(np.diff(k, prepend=-1))  # the nodes of a model rise in eta
+        sums = np.add.reduceat(rows[:, a:b], runs, axis=1)
+        rate, raw = coef[:, k[runs]].reshape(2, -1) @ sums.T.ravel()
+        out.append(AveragedKeyRate(float(rate), float(raw)))
+        a = b
+    return out
 
 
 def average_key_rates(cfg: SchemeConfig, model: FadingModel, quad: QuadratureSpec) -> AveragedKeyRate:

@@ -184,6 +184,14 @@ def key_rate_from_summary(s: CovarianceSummary, recon_eff: float, t_e: float) ->
                         rate=s.p_sub * rate_raw)
 
 
+def check_beta_sq(beta_sq: float) -> None:
+    """Refuse, by a ValueError that names it, a beta_sq past the range where the
+    bound keeps its precision."""
+    if beta_sq > _BETA_SQ_MAX:
+        raise ValueError(f"beta_sq={beta_sq:g} out of range: > {_BETA_SQ_MAX:g}, "
+                         "where the bound loses its precision next to T_E = 1")
+
+
 def key_rates_many(cfgs, t_e) -> list:
     """Closed-form moments of the untruncated state (``exact``: the channel
     map and one shared photon tap, p_sub = m / (1 + m)^2 with
@@ -207,9 +215,7 @@ def key_rates_many(cfgs, t_e) -> list:
         return []
     summaries = []
     for cfg in cfgs:
-        if cfg.beta_sq > _BETA_SQ_MAX:
-            raise ValueError(f"beta_sq={cfg.beta_sq:g} out of range: > {_BETA_SQ_MAX:g}, "
-                             "where the bound loses its precision next to T_E = 1")
+        check_beta_sq(cfg.beta_sq)
         s = exact_summary(cfg, t)
         big = s.v_a > _V_A_MAX
         if np.count_nonzero(big):  # the message, which names alpha_sq, is formatted only here

@@ -6,11 +6,14 @@ distance grids layered over noise (beta^2) or source strength (alpha^2), and
 fading-channel averages against the beam-wander spread sigma_b (full range
 and close-up).  A fixed-link request is one ``key_rates_many`` call over every
 layer and scheme, and the fading averages of each scheme one call over all
-sigma_b (the scheme's zero crossings are memoised per process, see
-``channel``); ``_POINTS_PER_CALL`` caps the points of a call.  Both kinds
-share one row assembly, in (layer, point, scheme) order, so the emitted CSV
-is byte-identical for a fixed configuration; ``emit_csv`` formats every row
-with one format string and streams the CSV in chunks of rows.
+sigma_b (the scheme's zero crossings and rate curve are memoised per
+process, see ``channel``); ``_POINTS_PER_CALL`` caps the points of a call.
+Both kinds share one row assembly, in (layer, point, scheme) order, so the
+emitted CSV is byte-identical for a fixed configuration; ``emit_csv`` formats
+every row with one format string and streams the CSV in chunks of rows.
+Settings that a run would otherwise refuse halfway, a beta_sq past the
+bound's range or a sigma_b or beam geometry that ``weibull_params`` rejects,
+are checked when the ``ExperimentConfig`` is made.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .channel import (
     weibull_params,
 )
 from .exact import SCHEMES, SchemeConfig
-from .keyrate import KeyRatePoint, key_rates_many
+from .keyrate import KeyRatePoint, check_beta_sq, key_rates_many
 
 # One entry per experiment: the axis column, the SchemeConfig field its layers
 # vary (None: one layer) and the default (start, stop, points), chosen to show
@@ -102,6 +105,9 @@ class ExperimentConfig:
             for flag, value in (("--beta-r", self.beta_r), ("--beam-w", self.beam_w)):
                 if not (math.isfinite(value) and value > 0.0):
                     raise ValueError(f"{flag} must be finite and > 0, got {value:g}")
+            # the geometry does not depend on sigma_b, and the axis lies between its ends
+            for sigma_b in (start, stop) if points > 1 else (stop,):
+                weibull_params(sigma_b, self.beta_r, self.beam_w)
         if kind.layer:
             flag, values = f"--{kind.layer.replace('_', '-')}-values", self.layers()
             if not values:
@@ -111,6 +117,9 @@ class ExperimentConfig:
                     raise ValueError(f"{flag} must be finite and >= 0, got {value:g}")
                 if value in values[:i]:
                     raise ValueError(f"{flag} repeats {value:g}")
+        # every beta_sq that runs, so that the run itself never refuses one
+        for beta_sq in self.layers() if kind.layer == "beta_sq" else (self.base.beta_sq,):
+            check_beta_sq(beta_sq)
 
     def _bounds(self) -> tuple:
         """(start, stop, points), the experiment's defaults filling the gaps."""

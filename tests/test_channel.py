@@ -132,30 +132,36 @@ def test_weibull_rejects_non_finite(field, value):
 
 
 @pytest.mark.parametrize("sigma_b", [1e-200, 1e-151, 1e151, 1e200])
-def test_weibull_rejects_sigma_b_whose_square_leaves_the_float_range(tmp_path, sigma_b):
+def test_weibull_rejects_sigma_b_whose_square_leaves_the_float_range(tmp_path, capsys,
+                                                                     sigma_b):
     with pytest.raises(ValueError, match=re.escape(f"sigma_b={sigma_b:g} out of range")):
         weibull_params(sigma_b)
-    # a sweep rejects it before any average runs: no ZeroDivisionError or
-    # OverflowError from the laws, and no CSV
+    # a sweep rejects it as a usage error before any average runs: no
+    # ZeroDivisionError or OverflowError from the laws, and no CSV
     out = tmp_path / "out.csv"
     ends = ["--start", f"{sigma_b:g}", "--stop", "1"] if sigma_b < 1 else [
         "--start", "1", "--stop", f"{sigma_b:g}", "--log-axis"]
-    with pytest.raises(ValueError, match="sigma_b="):
+    with pytest.raises(SystemExit) as exit_:
         cli_main(["satellite-sweep", *ends, "--points", "3", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert exit_.value.code == 2 and "Traceback" not in err
+    assert f"error: sigma_b={sigma_b:g} out of range" in err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("beta_r,w", [(1e200, 1.0), (1.0, 1e-200), (1e200, 1e-200)])
-def test_a_geometry_whose_h_overflows_is_refused_by_name(tmp_path, beta_r, w):
+def test_a_geometry_whose_h_overflows_is_refused_by_name(tmp_path, capsys, beta_r, w):
     # (beta_r / w)^2 overflows, or beta_r / w itself does and h = inf would
-    # give lambda = L = NaN: an error naming both, and no CSV
-    named = re.escape(f"degenerate beam geometry (beta_r={beta_r:g}, w={w:g})")
-    with pytest.raises(ValueError, match=named):
+    # give lambda = L = NaN: an error naming both, a usage error, and no CSV
+    named = f"degenerate beam geometry (beta_r={beta_r:g}, w={w:g})"
+    with pytest.raises(ValueError, match=re.escape(named)):
         weibull_params(1.0, beta_r, w)
     out = tmp_path / "out.csv"
-    with pytest.raises(ValueError, match=named):
+    with pytest.raises(SystemExit) as exit_:
         cli_main(["satellite-closeup", "--points", "1", "--beta-r", repr(beta_r),
                   "--beam-w", repr(w), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert exit_.value.code == 2 and "Traceback" not in err and f"error: {named}" in err
     assert not out.exists()
 
 
@@ -627,9 +633,9 @@ def test_newton_returns_a_vanishing_sample():
     # 0; there the interpolant reads about -5e-20, so Newton steps would creep
     # towards the zero and stop near T_E ~ 1e-19.  The sample is the root.
     cfg, eta0 = SchemeConfig("tps", beta_sq=0.0), weibull_params(1.0).eta0
-    assert channel_mod._find_crossings(cfg, eta0) == (False, (0.0,))
+    assert _roots(cfg, eta0) == (False, (0.0,))
     # the memo keeps no crossing at T_E = 0 (u* = 0): the first u-segment is positive
-    positive, y = channel_mod._crossings(cfg, eta0)
+    positive, y, *_ = channel_mod._crossings(cfg, eta0)
     assert positive and y.size == 0
 
 
@@ -669,6 +675,11 @@ def _scan_size():
     return 16 * channel_mod._PANELS + 1
 
 
+def _roots(cfg, eta0):
+    """_find_crossings on its own scan: (positive at T_E = 0, the crossings T*)."""
+    return channel_mod._find_crossings(cfg, eta0, *channel_mod._scan(cfg, eta0))
+
+
 def test_refine_matches_scan_and_brent_over_a_config_grid(monkeypatch):
     calls, one_call, seen = [], 0, 0
     real = channel_mod.key_rates
@@ -679,7 +690,7 @@ def test_refine_matches_scan_and_brent_over_a_config_grid(monkeypatch):
         cfg = SchemeConfig(scheme, alpha_sq=alpha_sq, beta_sq=beta_sq, t_s=t_s)
         eta0 = weibull_params(1.0, beta_r=beta_r).eta0
         calls.clear()
-        starts, got = channel_mod._find_crossings(cfg, eta0)
+        starts, got = _roots(cfg, eta0)
         want_starts, want = _scan_and_brent(cfg, eta0)
         assert (starts, len(got)) == (want_starts, len(want)), cfg
         assert np.all(np.abs(np.subtract(got, want)) <= 2e-13), cfg
@@ -700,7 +711,7 @@ def test_crossing_in_the_first_eta_cell_takes_a_second_round(monkeypatch):
     real = channel_mod.key_rates
     monkeypatch.setattr(channel_mod, "key_rates",
                         lambda c, t: sizes.append(len(t)) or real(c, t))
-    starts, (t_star,) = channel_mod._find_crossings(cfg, eta0)
+    starts, (t_star,) = _roots(cfg, eta0)
     assert sizes[0] == _scan_size() and sizes[1:] in ([], [15])
     assert math.sqrt(t_star) < eta0 / 100
     monkeypatch.undo()
@@ -728,7 +739,7 @@ def test_two_crossings_use_the_scan_fallback(monkeypatch):
     u1, u2 = cdf(m, math.sqrt(0.2)), cdf(m, math.sqrt(0.5))
     assert 0.0 < u1 < u2 < 1.0
     crossings = channel_mod._crossings(cfg, m.eta0)
-    (a1, b1), (a2, b2) = channel_mod._positive_region(m, *crossings)
+    (a1, b1), (a2, b2) = channel_mod._positive_region(m, *crossings[:2])
     assert (a1, b2) == (0.0, 1.0)
     assert b1 == pytest.approx(u1, rel=1e-12) and a2 == pytest.approx(u2, rel=1e-12)
 
@@ -771,6 +782,12 @@ def test_crossing_above_the_aperture_limit_gives_zero():
         assert (avg.rate, avg.rate_normalized) == (0.0, 0.0)
 
 
+# The bound calls of a cold default curve: the scan, whose panels keep the one
+# crossing and resolve the curve; rps bisects its first panel twice, each round one
+# call of the 17 shifted points and the 2 x 17 points of the halves.
+DEFAULT_CURVE_CALLS = {"nops": [16 * 24 + 1], "tps": [16 * 24 + 1], "rps": [16 * 24 + 1, 51, 51]}
+
+
 @pytest.mark.parametrize("scheme", ["nops", "tps", "rps"])
 @pytest.mark.parametrize("sigma_b", [0.1, 1.0, 20.0])
 def test_default_average_evaluation_count(monkeypatch, scheme, sigma_b):
@@ -783,12 +800,11 @@ def test_default_average_evaluation_count(monkeypatch, scheme, sigma_b):
 
     monkeypatch.setattr(channel_mod, "key_rates", counting)
     average_key_rates(SchemeConfig(scheme), weibull_params(sigma_b), QuadratureSpec(200))
-    # the scan, whose panel keeps the one crossing, and one array call of
-    # the whole node budget on one segment
-    assert sizes == [_scan_size(), 200]
+    # the curve's calls alone: no node calls the bound
+    assert sizes == DEFAULT_CURVE_CALLS[scheme]
 
 
-def test_a_default_average_makes_two_bound_calls_with_a_scalar_f(monkeypatch):
+def test_a_default_average_makes_one_bound_call_with_a_scalar_f(monkeypatch):
     calls = []
     real = keyrate_mod.key_rate_from_summary
 
@@ -798,8 +814,8 @@ def test_a_default_average_makes_two_bound_calls_with_a_scalar_f(monkeypatch):
 
     monkeypatch.setattr(keyrate_mod, "key_rate_from_summary", counting)
     average_key_rates(SchemeConfig("tps"), weibull_params(1.0), QuadratureSpec(200))
-    # one config per call: no join, and f stays the config's float
-    assert calls == [(_scan_size(), float), (200, float)]
+    # the scan alone, one config: no join, and f stays the config's float
+    assert calls == [(_scan_size(), float)]
 
 
 # ------------------------------------------------- the memoised crossing search
@@ -821,8 +837,8 @@ def _bound_calls(run):
 @given(scheme=st.sampled_from(["nops", "tps", "rps"]), alpha_sq=st.floats(0.5, 3.0),
        beta_sq=st.floats(0.0, 0.01), t_s=st.floats(0.5, 0.99),
        sigma_b=st.floats(0.1, 20.0), other=st.floats(0.1, 20.0))
-def test_a_warm_average_makes_one_bound_call_and_equals_a_cold_one(scheme, alpha_sq, beta_sq,
-                                                                   t_s, sigma_b, other):
+def test_a_warm_average_makes_no_bound_call_and_equals_a_cold_one(scheme, alpha_sq, beta_sq,
+                                                                  t_s, sigma_b, other):
     cfg, quad = SchemeConfig(scheme, alpha_sq=alpha_sq, beta_sq=beta_sq, t_s=t_s), QuadratureSpec()
     model = weibull_params(sigma_b)
     channel_mod._crossings.cache_clear()
@@ -830,22 +846,27 @@ def test_a_warm_average_makes_one_bound_call_and_equals_a_cold_one(scheme, alpha
     channel_mod._crossings.cache_clear()
     average_key_rates(cfg, weibull_params(other), quad)  # the same eta0, another sigma_b
     warm, warm_calls = _bound_calls(lambda: average_key_rates(cfg, model, quad))
-    assert cold_calls[0] == (_scan_size(), float) and cold_calls[-1] == (200, float)
-    assert warm_calls == [(200, float)]
+    # the cold average's calls are those of its memo entry alone, the scan first
+    channel_mod._crossings.cache_clear()
+    _, memo_calls = _bound_calls(lambda: channel_mod._crossings(cfg, model.eta0))
+    assert cold_calls == memo_calls and cold_calls[0] == (_scan_size(), float)
+    assert warm_calls == []
     assert ((warm.rate.hex(), warm.rate_normalized.hex())
             == (cold.rate.hex(), cold.rate_normalized.hex()))
 
 
-def test_a_warm_default_average_makes_one_key_rates_call(monkeypatch):
+def test_a_warm_default_average_makes_no_key_rates_call(monkeypatch):
     sizes = []
     real = channel_mod.key_rates
     monkeypatch.setattr(channel_mod, "key_rates", lambda c, t: sizes.append(len(t)) or real(c, t))
-    cfg, quad = SchemeConfig("tps"), QuadratureSpec(200)
-    average_key_rates(cfg, weibull_params(1.0), quad)
-    assert sizes == [_scan_size(), 200]
+    cfg = SchemeConfig("tps")
+    average_key_rates(cfg, weibull_params(1.0), QuadratureSpec(200))
+    assert sizes == [_scan_size()]
     sizes.clear()
-    average_key_rates(cfg, weibull_params(5.0), quad)
-    assert sizes == [200]
+    # the unclamped average reads the same curve
+    for sigma_b, clamp in ((5.0, True), (5.0, False), (0.3, False)):
+        average_key_rates(cfg, weibull_params(sigma_b), QuadratureSpec(200, clamp))
+    assert sizes == []
 
 
 def test_a_different_beta_r_or_config_field_misses_the_cache(monkeypatch):
@@ -863,7 +884,7 @@ def test_a_different_beta_r_or_config_field_misses_the_cache(monkeypatch):
         assert sizes[0] == _scan_size(), (c, beta_r)
     sizes.clear()
     average_key_rates(cfg, weibull_params(0.5), quad)  # the first key again
-    assert sizes == [200]
+    assert sizes == []
     info = channel_mod._crossings.cache_info()
     assert (info.misses, info.hits) == (len(misses), 1)
 
@@ -892,7 +913,7 @@ def test_a_warm_average_at_another_sigma_b_evaluates_no_bessel_series_and_no_cdf
     monkeypatch.setattr(channel_mod, "bessel_ive", lambda *a: calls.append("bessel") or bessel(*a))
     monkeypatch.setattr(channel_mod, "cdf", lambda *a: calls.append("cdf") or law(*a))
     warm = average_key_rates(cfg, weibull_params(1.0), quad)  # same config and geometry
-    assert calls == [200]
+    assert calls == []
     # the warm average is the cold one's at its own sigma_b
     monkeypatch.undo()
     channel_mod._crossings.cache_clear()
@@ -932,8 +953,8 @@ def test_each_u_star_equals_the_cdf_of_its_crossing(scheme, alpha_sq, beta_sq, t
                                                     sigma_b):
     cfg = SchemeConfig(scheme, alpha_sq=alpha_sq, beta_sq=beta_sq, t_s=t_s)
     m = weibull_params(sigma_b, beta_r, w)
-    starts, roots = channel_mod._find_crossings(cfg, m.eta0)
-    positive, y = channel_mod._crossings(cfg, m.eta0)
+    starts, roots = _roots(cfg, m.eta0)
+    positive, y, *_ = channel_mod._crossings(cfg, m.eta0)
     inside = [r for r in roots if 0.0 < math.sqrt(r) < m.eta0]
     got = np.exp(channel_mod._log_cdf(m, y))
     assert [u.hex() for u in got.tolist()] == [float(cdf(m, math.sqrt(r))).hex() for r in inside]
@@ -954,10 +975,10 @@ def test_crossings_at_and_between_the_ends_map_as_the_cdf_does(starts, beta_r, s
     roots += (np.nextafter(m.eta0, 2.0) ** 2,) * (fractions[:1] == [1.0])
     channel_mod._crossings.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(channel_mod, "_find_crossings", lambda cfg, eta0: (starts, roots))
+        mp.setattr(channel_mod, "_find_crossings", lambda cfg, eta0, x, f: (starts, roots))
         crossings = channel_mod._crossings(SchemeConfig("nops"), m.eta0)
     channel_mod._crossings.cache_clear()
-    region = channel_mod._positive_region(m, *crossings)
+    region = channel_mod._positive_region(m, *crossings[:2])
     assert [(a.hex(), b.hex()) for a, b in region] == _region_from_cdf(m, starts, roots)
 
 
@@ -1024,23 +1045,137 @@ def test_default_satellite_sweep_finds_each_crossing_once(monkeypatch, tmp_path)
     monkeypatch.setattr(channel_mod, "key_rates", counting)
     cli_main(["satellite-sweep", "--out", str(tmp_path / "sat.csv")])
     for scheme in ("nops", "tps", "rps"):
-        # one scan for all 40 sigma_b, then one node call for all 40 averages
-        assert [n for s, n in calls if s == scheme] == [_scan_size(), 40 * 200]
+        # one curve for all 40 sigma_b, and no call for any of their averages
+        assert [n for s, n in calls if s == scheme] == DEFAULT_CURVE_CALLS[scheme]
 
 
-def test_error_names_the_model_of_the_failing_node(monkeypatch):
+def test_a_bound_failure_names_eta0_and_its_element(monkeypatch):
     def boom(cfg, t_e):
         exc = NumericalDomainError("synthetic failure")
-        exc.index = 16 + 3  # node 3 of the second model
+        exc.index = 19
         raise exc
 
     monkeypatch.setattr(channel_mod, "key_rates", boom)
     models = [weibull_params(1.0), weibull_params(2.5)]
-    with pytest.raises(NumericalDomainError) as err:
-        average_key_rates_many(SchemeConfig("nops"), models, QuadratureSpec(16, False))
-    assert str(err.value).endswith("at sigma_b=2.5, node 3 (u=0.122298)")
+    # the bound runs on the curve alone, which every sigma_b of a geometry shares,
+    # clamped or not, so the error names eta0, the stage and the element
+    for clamp in (True, False):
+        with pytest.raises(NumericalDomainError) as err:
+            average_key_rates_many(SchemeConfig("nops"), models, QuadratureSpec(16, clamp))
+        assert str(err.value) == f"synthetic failure at eta0={models[0].eta0:.6g}, scan 19"
 
-    # the crossing search is shared by every sigma_b, so it names eta0
-    with pytest.raises(NumericalDomainError) as err:
-        average_key_rates_many(SchemeConfig("nops"), models, QuadratureSpec(16))
-    assert str(err.value).endswith(f"at eta0={models[0].eta0:.6g}, scan 19")
+
+# ------------------------------------------------- the rate curve at the nodes
+
+def _curve_at(cfg, eta0, eta):
+    """rate and rate_raw at each eta from the memoised curve's panel coefficients."""
+    _, _, edges, coef = channel_mod._crossings(cfg, eta0)
+    eta = np.atleast_1d(eta)
+    k = np.minimum(np.searchsorted(edges, eta, side="right"), len(edges) - 1) - 1
+    s = (2.0 * eta - edges[k] - edges[k + 1]) / (edges[k + 1] - edges[k])
+    cheb = np.polynomial.chebyshev
+    return np.array([[cheb.chebval(si, coef[c, ki]) for si, ki in zip(s, k)] for c in range(2)])
+
+
+def _direct_average(cfg, model, quad):
+    """The average with the bound called at every node, on the production nodes: the
+    node path the rate curve replaced.  Returns (rate, rate_raw) and the averages of
+    their absolute values, the conditioning of the two sums."""
+    positive, y, *_ = channel_mod._crossings(cfg, model.eta0)
+    segments = (channel_mod._positive_region(model, positive, y) if quad.clamp_negative
+                else [(0.0, 1.0)])
+    u, w = channel_mod._nodes(segments, quad.node_count)
+    if not len(u):
+        return np.zeros(2), np.zeros(2)
+    kr = key_rates(cfg, inverse_cdf(model, u) ** 2)
+    f = np.stack([kr.rate, kr.rate_raw])
+    return f @ w, np.abs(f) @ w
+
+
+@settings(max_examples=60, deadline=None)
+@given(scheme=st.sampled_from(["nops", "tps", "rps"]), alpha_sq=st.floats(0.1, 30.0),
+       beta_sq=st.one_of(st.just(0.0), st.floats(0.0, 1.0)), t_s=st.floats(0.5, 0.99),
+       beta_r=st.sampled_from([0.3, 1.0, 3.0]),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+def test_the_rate_curve_matches_key_rates(scheme, alpha_sq, beta_sq, t_s, beta_r, fractions):
+    cfg = SchemeConfig(scheme, alpha_sq=alpha_sq, beta_sq=beta_sq, t_s=t_s)
+    eta0 = weibull_params(1.0, beta_r).eta0
+    # both ends, and points crowded toward each
+    eta = eta0 * np.array([0.0, 1.0, *fractions, *(f**8 for f in fractions),
+                           *(1.0 - f**8 for f in fractions)])
+    kr = key_rates(cfg, eta**2)
+    want = np.stack([kr.rate, kr.rate_raw])
+    scale = np.abs(channel_mod._scan(cfg, eta0)[1]).max(axis=(1, 2))[:, None]
+    # the bound's own rounding is the limit here: within 20 ulps of eta = 0.0215, rps
+    # at alpha_sq = 28.5 and beta_r = 0.3 spreads rate_raw over 6.7e-13 of the scale,
+    # and a panel at that noise is kept (the curve read 2.9e-12 off on a dense grid)
+    assert np.all(np.abs(_curve_at(cfg, eta0, eta) - want) <= 1e-11 * scale)
+
+
+def test_a_panel_the_scan_leaves_unresolved_is_bisected():
+    cfg, eta0 = SchemeConfig("rps", alpha_sq=3.0, beta_sq=1e-4), weibull_params(1.0).eta0
+    x, f = channel_mod._scan(cfg, eta0)
+    cheb, (_, fit) = np.polynomial.chebyshev, channel_mod._lobatto()
+    eta = np.linspace(0.0, x[0, -1], 1001)
+    kr = key_rates(cfg, eta**2)
+    scan_fit = f[:, 0] @ fit[:17].T
+    # on the scan's own first panel, rate_raw's interpolant is about 9e-8 off
+    off = np.abs(cheb.chebval(2.0 * eta / x[0, -1] - 1.0, scan_fit[1]) - kr.rate_raw).max()
+    assert 5e-8 < off < 2e-7
+    _, _, edges, _ = channel_mod._crossings(cfg, eta0)
+    # that panel alone is bisected, down to 1/16 of its width; the others stay
+    assert edges[1] == x[0, -1] / 16 and set(x[1:, 0]) < set(edges) and len(edges) == 29
+    scale = np.abs(f).max(axis=(1, 2))[:, None]
+    assert np.all(np.abs(_curve_at(cfg, eta0, eta) - [kr.rate, kr.rate_raw]) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("extra", [{}, {"beta_r": 3.0}, {"quad": QuadratureSpec(200, False)}],
+                         ids=["default", "beta-r-3", "no-clamp-negative"])
+@pytest.mark.parametrize("experiment", ["satellite_sweep", "satellite_closeup"])
+def test_every_default_satellite_cell_matches_the_direct_node_average(experiment, extra):
+    from cvqkd_ps import ExperimentConfig, run_experiment
+
+    config = ExperimentConfig(experiment, **extra)
+    result = run_experiment(config)
+    assert len(result.rows) == 3 * config.axis().size
+    for sigma_b, scheme, *got in result.rows:
+        cfg = dataclasses.replace(config.base, scheme=scheme)
+        model = weibull_params(sigma_b, config.beta_r, config.beam_w)
+        want, size = _direct_average(cfg, model, config.quad)
+        # clamped, the integrand is >= 0 and this is the relative error; signed, the
+        # sums cancel down to 1e-4 of their terms, and the direct sum's own rounding
+        # is relative to the terms
+        scale = np.abs(want) if config.quad.clamp_negative else size
+        assert np.all(np.abs(np.subtract(got, want)) <= 1e-13 * scale), (sigma_b, scheme)
+
+
+def test_a_curve_that_does_not_resolve_is_refused_by_eta0_and_interval(monkeypatch):
+    # a jump at T_E = 0.3: no bisection resolves the panel that holds it; once that
+    # panel is a few ulps wide, the shift that measures rounding noise crosses the jump
+    monkeypatch.setattr(channel_mod, "key_rates",
+                        _fake_rates(lambda t: np.where(t < 0.3, t, t + 1.0)))
+    m = weibull_params(1.0)
+    prefix = rf"rate curve not resolved at eta0={m.eta0:.6g}: eta in \[(\S+), (\S+)\], "
+    for rounds, why, width in (
+            (60, r"where the bound's rounding noise is 2\.1e\+00 of the curve's scale", 1e-13),
+            (10, r"after 10 bisections", m.eta0 / 24 / 2**10 * (1.0 + 1e-9))):
+        monkeypatch.setattr(channel_mod, "_CURVE_ROUNDS", rounds)
+        with pytest.raises(NumericalDomainError) as err:
+            average_key_rates(SchemeConfig("nops"), m, QuadratureSpec(200))
+        got = re.fullmatch(prefix + why, str(err.value))
+        assert got, str(err.value)
+        a, b = float(got[1]), float(got[2])
+        assert a < math.sqrt(0.3) < b and b - a <= width
+        assert channel_mod._crossings.cache_info().currsize == 0
+
+
+def test_a_curve_at_the_bounds_rounding_noise_is_kept_not_bisected():
+    # a strong source next to T_E = 1: the bound's rounding there, about eps V_A^2,
+    # is 1e-9 of the curve, over the curve's tolerance; those panels are kept
+    cfg = SchemeConfig("nops", alpha_sq=8796.0, beta_sq=6e-4, t_s=0.63)
+    models = [weibull_params(sigma_b, beta_r=3.0) for sigma_b in (0.05, 1.0, 20.0)]
+    got = average_key_rates_many(cfg, models, QuadratureSpec(200))
+    assert len(channel_mod._crossings(cfg, models[0].eta0)[2]) < 100
+    for avg, m in zip(got, models):
+        want, _ = _direct_average(cfg, m, QuadratureSpec(200))
+        assert [avg.rate, avg.rate_normalized] == pytest.approx(want, rel=1e-8)

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -18,6 +19,7 @@ from cvqkd_ps import (
     SchemeConfig,
     emit_csv,
     key_rate,
+    key_rates,
     run_experiment,
 )
 from cvqkd_ps import cli
@@ -530,15 +532,36 @@ def test_cli_rejects_an_invalid_layer_value(tmp_path, capsys, command, flag, val
         assert not out.exists()
 
 
-def test_cli_rejects_beta_sq_out_of_range_by_name(tmp_path):
-    # the parent code wrote nan cells for nops and tps here and exited 0
+def test_cli_rejects_beta_sq_out_of_range_by_name(tmp_path, capsys):
+    # the parent code wrote nan cells for nops and tps here and exited 0; the
+    # config refuses it up front, as a usage error, with key_rates_many's message
     out = tmp_path / "out.csv"
     for argv in (["distance-sweep", "--beta-sq", "1e200", "--points", "3"],
                  ["noise-grid", "--beta-sq-values", "0.001,1e3", "--points", "3"],
-                 ["noise-grid", "--beta-sq-values", "0.0001,0.001,0.01,0.05,1e3"]):
-        with pytest.raises(ValueError, match=r"^beta_sq=(1e\+200|1000) out of range"):
-            cli_main(argv + ["--out", str(out)])
+                 ["noise-grid", "--beta-sq-values", "0.0001,0.001,0.01,0.05,1e3"],
+                 ["satellite-sweep", "--beta-sq", "1e3", "--points", "2"]):
+        message = _usage_error(capsys, argv + ["--out", str(out)])
+        assert re.match(r"^beta_sq=(1e\+200|1000) out of range: > 100, where the bound "
+                        r"loses its precision next to T_E = 1$", message), message
         assert not out.exists()
+    with pytest.raises(ValueError, match=r"^beta_sq=1000 out of range"):
+        key_rates(SchemeConfig("nops", beta_sq=1e3), [0.5])  # library callers too
+
+
+def test_a_config_refuses_what_only_its_run_would_find():
+    # every beta_sq that runs, and the fading law at both ends of the sigma_b axis
+    with pytest.raises(ValueError, match=r"^beta_sq=1e\+200 out of range: > 100"):
+        ExperimentConfig("distance_sweep", base=SchemeConfig("nops", beta_sq=1e200), points=3)
+    with pytest.raises(ValueError, match=r"^beta_sq=200 out of range: > 100"):
+        ExperimentConfig("noise_grid", beta_sq_values=(0.1, 200.0))
+    # the layers overwrite the base beta_sq, so they alone run
+    ExperimentConfig("noise_grid", base=SchemeConfig("nops", beta_sq=1e200))
+    with pytest.raises(ValueError, match=r"^degenerate beam geometry \(beta_r=1e\+200, w=1e-200"):
+        ExperimentConfig("satellite_closeup", points=1, beta_r=1e200, beam_w=1e-200)
+    with pytest.raises(ValueError, match=r"^sigma_b=1e-200 out of range"):
+        ExperimentConfig("satellite_sweep", start=1e-200, points=3)
+    # one point is stop alone, as the axis has it
+    assert ExperimentConfig("satellite_sweep", start=1e-200, points=1).axis().tolist() == [20.0]
 
 
 @pytest.mark.parametrize("command", ["transmissivity-sweep", "distance-sweep", "noise-grid"])
@@ -715,26 +738,28 @@ def test_cli_rejects_repeats_by_flag(tmp_path, capsys, command, key, value):
      r"Cauchy-Schwarz bound \(scheme=nops, t_e=0\.9999999999\)$"),
     (["satellite-sweep", "--scheme", "tps", "--alpha-sq", "1e8", "--t-s", "0.99999999",
       "--beta-r", "3"],
-     r"Cauchy-Schwarz bound \(scheme=tps, t_e=0\.99999\d+\) at sigma_b=0\.1, \w+ \d+ "
-     r"\(u=[\d.]+\)$"),
+     r"^rate curve not resolved at eta0=1: eta in \[0\.9\d+, 0\.99999999\d+\], where the "
+     r"bound's rounding noise is \d\.\de-0\d of the curve's scale$"),
 ], ids=["fixed", "fading"])
 def test_cli_bound_failure_names_its_element(tmp_path, argv, pattern):
-    # strong sources next to T_E = 1, inside the alpha_sq guard (V_A <= 1e9)
+    # strong sources next to T_E = 1, inside the alpha_sq guard (V_A <= 1e9): the
+    # bound fails at a point, and its rounding noise swamps the fading rate curve
     out = tmp_path / "out.csv"
     with pytest.raises(NumericalDomainError, match=pattern):
         cli_main(argv + ["--out", str(out)])
     assert not out.exists()
 
 
-def test_a_fading_bound_failure_names_t_e_once(tmp_path):
-    # key_rates_many names the exact t_e; the average adds sigma_b, the node and u
+def test_a_fading_refusal_names_eta0_and_its_interval_once(tmp_path):
+    # every sigma_b of the geometry reads one rate curve, refused once for all of
+    # them: the message names eta0 and the eta interval, and no sigma_b or node
     out = tmp_path / "out.csv"
     with pytest.raises(NumericalDomainError) as err:
         cli_main(["satellite-sweep", "--scheme", "tps", "--alpha-sq", "1e8",
                   "--t-s", "0.99999999", "--beta-r", "3", "--out", str(out)])
     message = str(err.value)
-    assert message.count("t_e=") == 1 and "T_E=" not in message
-    assert " at sigma_b=0.1, node " in message and "(u=" in message
+    assert message.count("eta0=") == 1 and message.count("eta in [") == 1
+    assert "sigma_b" not in message and "node" not in message and "T_E=" not in message
     assert not out.exists()
 
 
