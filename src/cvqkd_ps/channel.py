@@ -14,15 +14,15 @@ recurrence in O(n) memory (no table here is built by a linear-algebra
 solver).  Negative key-rate bounds mean "no key",
 so by default they are clamped to zero inside the average (the raw signed
 integral stays available via clamp_negative=False): the key rate depends on
-u only through T_E = eta(u)^2, which rises with u, so its zero crossings are
-found in eta = sqrt(T_E) by a scan on Chebyshev-Lobatto panels, whose
-interpolants give the roots by safeguarded Newton steps (stacked refine
-rounds only where a root is not yet resolved), then mapped to u with the
-CDF.  The same scan is the rate curve: piecewise Chebyshev interpolants of
-rate and rate_raw in eta, a panel bisected until its top coefficients are
-below tolerance or at the bound's own rounding noise (Trefethen, Approximation
-Theory and Approximation Practice, 2013).  The nodes read the curve; no node
-calls the bound.  Crossings and curve depend on the law only through eta0, so
+u only through T_E = eta(u)^2, which rises with u.  A scan on Chebyshev-Lobatto
+panels in eta = sqrt(T_E) starts the rate curve: piecewise Chebyshev
+interpolants of rate and rate_raw in eta, a panel bisected until its top
+coefficients are below tolerance or at the bound's own rounding noise
+(Trefethen, Approximation Theory and Approximation Practice, 2013).  The zero
+crossings are read off that curve: each sign change between its samples is
+solved on its panel's interpolant by safeguarded Newton steps, then mapped to u
+with the CDF.  The nodes read the curve too; no node and no root calls the
+bound.  Crossings and curve depend on the law only through eta0, so
 they are memoised per (config, eta0) for the process, each crossing kept as
 the sigma_b-free term y of its CDF: a warm average maps each y to u with the
 sigma_b of its model and makes no key_rates call.
@@ -291,8 +291,7 @@ def _unit_interval_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 _NEWTON_STEPS = 60  # bisection alone narrows a cell to 1e-15 in s within 48
-_ROOT_TTOL, _REFINE_ROUNDS = 1e-12, 4  # the refine's error bound on T* and its round cap
-_PANELS = 24  # scan panels, 16 _PANELS + 1 points; more cost more than the rare refine they save
+_PANELS = 24  # scan panels, 16 _PANELS + 1 points; more cost more than the rare bisections they save
 # the rate curve (see _curve): pure rounding noise reads at most 0.72 of the change
 # a _SHIFT of T_E (4 ulps of 1) makes; the caps are not knobs, and grading toward
 # T_E = 1 takes 19 rounds at eta0 = 1 - 7.6e-9 and 29 at eta0 = 1
@@ -321,12 +320,12 @@ def _clenshaw(c: list, x: float) -> float:
 
 
 def _newton(c: list, a: float, b: float, fa: float, fb: float) -> float:
-    """Zero of the interpolant sum_j c[j] T_j(s) (c[26:]: its slope series) in the
+    """Zero of the interpolant sum_j c[j] T_j(s) (c[17:]: its slope series) in the
     cell [a, b], whose samples fa and fb differ in sign: Newton steps from the secant
     point, a bisection of the bracket that the signs keep wherever a step of over
     1e-15 would not land inside it (a cycle between its ends too), until a step is
     at most 1e-15."""
-    p, dp = c[:17], c[26:]
+    p, dp = c[:17], c[17:]
     s = a - fa * (b - a) / (fb - fa)
     if s in (a, b):  # a sample vanishes
         return s
@@ -348,25 +347,19 @@ def _newton(c: list, a: float, b: float, fa: float, fb: float) -> float:
 @lru_cache(maxsize=1)
 def _lobatto() -> tuple[np.ndarray, np.ndarray]:
     """17 Chebyshev-Lobatto points s_j = -cos(pi j/16) on [-1, 1] and the map from
-    samples there to the Chebyshev coefficients of their interpolant (rows 0-16), of
-    the degree-8 one through every other point and of the slope (column k of d: T_k').
-    On m + 1 such points the inverse of T_k(s_j) is the DCT-I (2/m) g_k T_k(s_j) g_j,
-    g = 1/2 at both ends and 1 between."""
+    samples there to the Chebyshev coefficients of their interpolant (rows 0-16) and
+    of its slope (rows 17-33; column k of d: T_k').  On these points the inverse of
+    T_k(s_j) is the DCT-I (1/8) g_k T_k(s_j) g_j, g = 1/2 at both ends and 1 between."""
     j, k = np.indices((17, 17))
     v = (-1.0) ** k * np.cos(np.pi * j * k / 16)  # T_k(s_j)
     d = np.triu((1.0 - (-1.0) ** (k - j)) * k, 1) * np.where(j > 0, 1.0, 0.5)
-
-    def dct_i(m: int) -> np.ndarray:  # the inverse on every (16/m)th point, k <= m
-        g = np.where(np.arange(m + 1) % m == 0, 0.5, 1.0)
-        return (2.0 / m) * g[:, None] * v[::16 // m, :m + 1].T * g
-
-    fit, half = dct_i(16), np.zeros((9, 17))
-    half[:, ::2] = dct_i(8)
-    return -np.cos(np.pi * k[0] / 16), np.vstack([fit, half, d @ fit])
+    g = np.where(k[0] % 16 == 0, 0.5, 1.0)
+    fit = (2.0 / 16) * g[:, None] * v.T * g
+    return -np.cos(np.pi * k[0] / 16), np.vstack([fit, d @ fit])
 
 
 def _scan(cfg: SchemeConfig, eta0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Round 0 of the crossing search and of the rate curve: _PANELS even panels of
+    """Round 0 of the rate curve: _PANELS even panels of
     [0, eta0] with 17 Lobatto points each (neighbours share their ends), sampled in
     one call.  Their eta, one row per panel, and rate and rate_raw there, stacked."""
     nodes, _ = _lobatto()
@@ -377,40 +370,10 @@ def _scan(cfg: SchemeConfig, eta0: float) -> tuple[np.ndarray, np.ndarray]:
     return eta[panels], f[:, panels]
 
 
-def _find_crossings(cfg: SchemeConfig, eta0: float, x: np.ndarray, f: np.ndarray) -> tuple:
-    """Whether rate_raw > 0 at T_E = 0, and its zero crossings T* in [0, eta0^2], in
-    eta = sqrt(T_E), where rate_raw is analytic, from the panels (x, f) of _scan.  Each
-    sign change between adjacent samples is solved on its panel's interpolant inside
-    its own cell by _newton; a root the degree-8 interpolant moves by over _ROOT_TTOL
-    narrows to that cell, and each later round samples Lobatto points in all such cells
-    in one call."""
-    nodes, fit = _lobatto()
-    y = f[1]
-    roots, round_ = [], 0
-    while True:
-        brackets, coef = [], y @ fit.T
-        for k, j in np.argwhere(np.diff(y > 0.0, axis=1)):
-            xs, ys, c = x[k], y[k], coef[k].tolist()
-            s = _newton(c, *nodes[j:j + 2].tolist(), *ys[j:j + 2].tolist())
-            root = xs[0] + (xs[-1] - xs[0]) * (1.0 + s) / 2.0
-            # off by about 2 root d(eta), d(eta) = |p8| / |d p16/d eta|
-            off = root * (xs[-1] - xs[0]) * abs(_clenshaw(c[17:26], s))
-            if off <= _ROOT_TTOL * abs(_clenshaw(c[26:], s)) or round_ == _REFINE_ROUNDS:
-                roots.append(root**2)
-            else:
-                brackets.append((xs[j:j + 2], ys[j:j + 2]))
-        if not brackets:
-            return bool(f[1, 0, 0] > 0.0), tuple(sorted(roots))
-        round_ += 1
-        ends, f_ends = map(np.array, zip(*brackets))
-        x = ends @ np.array([(1.0 - nodes) / 2.0, (1.0 + nodes) / 2.0])
-        inner = _rates(cfg, eta0, "refine", x[:, 1:-1].ravel())[1]
-        y = np.column_stack([f_ends[:, 0], inner.reshape(len(x), -1), f_ends[:, 1]])
-
-
 def _curve(cfg: SchemeConfig, eta0: float, x: np.ndarray, f: np.ndarray) -> tuple:
     """The piecewise Chebyshev interpolant of rate and rate_raw in eta on [0, eta0]:
-    the panel edges, and the coefficients of each curve on each panel, (2, panels, 17).
+    the panel edges, the coefficients of each curve on each panel, (2, panels, 17), and
+    each panel's own samples of rate_raw, (panels, 17).
 
     It starts from the panels (x, f) of _scan.  A panel passes once its coefficients
     14-16 of each curve lie below _CURVE_RTOL of that curve's largest scan sample.  One
@@ -420,7 +383,8 @@ def _curve(cfg: SchemeConfig, eta0: float, x: np.ndarray, f: np.ndarray) -> tupl
     the halves of every failing panel in one call.  A curve whose noise passes
     _NOISE_MAX of its scale, or still unresolved after _CURVE_ROUNDS rounds or past
     _CURVE_PANELS panels, raises a NumericalDomainError naming eta0 and the eta
-    interval of the first failing panel.
+    interval of the first failing panel.  A panel's ends are 0 or within a factor 2
+    of each other, so the halves' points at their shared end are one float.
     """
     nodes, fit = _lobatto()
     scale = np.abs(f).max(axis=(1, 2))[:, None]
@@ -430,7 +394,7 @@ def _curve(cfg: SchemeConfig, eta0: float, x: np.ndarray, f: np.ndarray) -> tupl
                                     f"eta in [{a:.17g}, {b:.17g}], {why}")
 
     lo, hi = x[:, 0], x[:, -1]
-    los, coefs = [], []
+    los, coefs, raws = [], [], []
     for round_ in range(_CURVE_ROUNDS + 1):
         coef = f @ fit[:17].T
         tail = np.abs(coef[:, :, 14:]).max(axis=2)
@@ -456,29 +420,46 @@ def _curve(cfg: SchemeConfig, eta0: float, x: np.ndarray, f: np.ndarray) -> tupl
             bad[bad] = split
         los.append(lo[~bad])
         coefs.append(coef[:, ~bad])
+        raws.append(f[1, ~bad])
         if not bad.any():
             break
         halves = np.concatenate([split, split])
         lo, hi, x, f = lo2[halves], hi2[halves], x2[halves], g[:, n:][:, halves]
     lo = np.concatenate(los)
     order = np.argsort(lo)
-    return np.append(lo[order], eta0), np.concatenate(coefs, axis=1)[:, order]
+    return (np.append(lo[order], eta0), np.concatenate(coefs, axis=1)[:, order],
+            np.concatenate(raws)[order])
+
+
+def _curve_roots(edges: np.ndarray, raw: np.ndarray) -> tuple:
+    """Whether rate_raw > 0 at T_E = 0, and its zero crossings T* in [0, eta0^2], read
+    off the curve of _curve (its edges and samples of rate_raw) in eta = sqrt(T_E),
+    where rate_raw is analytic.  Each sign change between neighbouring samples is
+    solved by _newton on its panel's interpolant, inside its own cell; a panel's last
+    cell ends at the next panel's first sample, which is the same point."""
+    nodes, fit = _lobatto()
+    c, f = raw @ fit.T, np.append(raw[:, :16], raw[-1, 16])
+    roots = []
+    for i in np.flatnonzero(np.diff(f > 0.0)):
+        k, j = divmod(i, 16)
+        s = _newton(c[k].tolist(), *nodes[j:j + 2].tolist(), *f[i:i + 2].tolist())
+        roots.append((edges[k] + (edges[k + 1] - edges[k]) * (1.0 + s) / 2.0) ** 2)
+    return bool(f[0] > 0.0), tuple(roots)
 
 
 @lru_cache(maxsize=64)
 def _crossings(cfg: SchemeConfig, eta0: float) -> tuple:
-    """The crossings of _find_crossings as the part of their u* = cdf(sqrt(T*)) that
-    sigma_b does not enter, and the rate curve of _curve, from one _scan: whether
-    rate_raw > 0 on the first u-segment, the y of _law_terms at each T* inside
-    (0, eta0^2), the curve's panel edges and its coefficients, all read-only.  A T*
-    at 0 (u* = 0) only flips the first segment's sign, and one at eta0^2 (u* = 1) ends
-    the last, so neither is kept.  Memoised per (config, eta0) for the process (a
+    """The rate curve of _curve, from one _scan, and its crossings (_curve_roots) as
+    the part of their u* = cdf(sqrt(T*)) that sigma_b does not enter: whether rate_raw
+    > 0 on the first u-segment, the y of _law_terms at each T* inside (0, eta0^2), the
+    curve's panel edges and its coefficients, all read-only; the samples are dropped.
+    A T* at 0 (u* = 0) only flips the first segment's sign, and one at eta0^2 (u* = 1)
+    ends the last, so neither is kept.  Memoised per (config, eta0) for the process (a
     NumericalDomainError is raised again, not cached); at most 1024 panels, 0.29 MB."""
-    x, f = _scan(cfg, eta0)
-    positive, roots = _find_crossings(cfg, eta0, x, f)
+    edges, coef, raw = _curve(cfg, eta0, *_scan(cfg, eta0))
+    positive, roots = _curve_roots(edges, raw)
     eta, inside, _, y = _law_terms(eta0, np.sqrt(roots))
     y = y[inside]
-    edges, coef = _curve(cfg, eta0, x, f)
     for table in (y, edges, coef):
         table.flags.writeable = False
     return positive != bool(np.count_nonzero(eta <= 0.0) % 2), y, edges, coef

@@ -487,8 +487,7 @@ def test_lobatto_maps_match_the_dense_inverse():
     cheb = np.polynomial.chebyshev
     v = cheb.chebvander(nodes, 16)  # T_k(s_j)
     inverse = np.linalg.inv(v)
-    want = np.vstack([inverse, np.linalg.inv(v[::2, :9]) @ np.eye(17)[::2],
-                      cheb.chebder(inverse), np.zeros(17)])
+    want = np.vstack([inverse, cheb.chebder(inverse), np.zeros(17)])
     assert fit.shape == want.shape
     assert np.all(np.abs(fit - want) <= 1e-13 * np.abs(want).max(axis=1, keepdims=True))
 
@@ -597,7 +596,7 @@ def test_laws_on_an_empty_array_return_an_empty_array():
 
 def _panel_interpolant(f, a, b):
     """Samples of f at the 17 Lobatto points of [a, b] and the coefficient rows of
-    their Chebyshev interpolant in s in [-1, 1] (value, degree 8, slope)."""
+    their Chebyshev interpolant in s in [-1, 1] (value, slope)."""
     nodes, fit = channel_mod._lobatto()
     y = np.array([f(x) for x in a + (b - a) * (1.0 + nodes) / 2.0])
     return y, (fit @ y).tolist()
@@ -615,11 +614,11 @@ def test_newton_step_matches_scipy(monkeypatch, f, a, b, leaves):
 
     cheb = np.polynomial.chebyshev
     y, c = _panel_interpolant(f, a, b)
-    assert np.allclose(c[26:], [*cheb.chebder(c[:17]), 0.0], rtol=0, atol=1e-12 * np.abs(c).max())
+    assert np.allclose(c[17:], [*cheb.chebder(c[:17]), 0.0], rtol=0, atol=1e-12 * np.abs(c).max())
     # bracketed by the whole panel; where Newton's first step from the secant
     # point leaves it, only the bisection branch keeps the root
     s0 = -1.0 - 2.0 * y[0] / (y[-1] - y[0])
-    assert (abs(s0 - cheb.chebval(s0, c[:17]) / cheb.chebval(s0, c[26:])) > 1.0) == leaves
+    assert (abs(s0 - cheb.chebval(s0, c[:17]) / cheb.chebval(s0, c[17:])) > 1.0) == leaves
     steps, real = [], channel_mod._clenshaw
     monkeypatch.setattr(channel_mod, "_clenshaw", lambda c, s: steps.append(s) or real(c, s))
     got = channel_mod._newton(c, -1.0, 1.0, y[0], y[-1])
@@ -676,45 +675,48 @@ def _scan_size():
 
 
 def _roots(cfg, eta0):
-    """_find_crossings on its own scan: (positive at T_E = 0, the crossings T*)."""
-    return channel_mod._find_crossings(cfg, eta0, *channel_mod._scan(cfg, eta0))
+    """The crossings read off the rate curve of the scan: (positive at T_E = 0, T*)."""
+    edges, _, raw = channel_mod._curve(cfg, eta0, *channel_mod._scan(cfg, eta0))
+    return channel_mod._curve_roots(edges, raw)
 
 
-def test_refine_matches_scan_and_brent_over_a_config_grid(monkeypatch):
-    calls, one_call, seen = [], 0, 0
-    real = channel_mod.key_rates
-    monkeypatch.setattr(channel_mod, "key_rates", lambda c, t: calls.append(len(t)) or real(c, t))
+def test_curve_roots_match_scan_and_brent_over_a_config_grid(monkeypatch):
+    stages, calls, seen = [], [], 0
+    real_rates, real_bound = channel_mod._rates, channel_mod.key_rates
+    monkeypatch.setattr(channel_mod, "_rates",
+                        lambda c, e, stage, x: stages.append(stage) or real_rates(c, e, stage, x))
+    monkeypatch.setattr(channel_mod, "key_rates",
+                        lambda c, t: calls.append(len(t)) or real_bound(c, t))
     for scheme, alpha_sq, beta_sq, t_s, beta_r in itertools.product(
             ("nops", "tps", "rps"), (0.1, 0.5, 1.3, 3.0, 30.0),
             (0.0, 1e-6, 1e-5, 1e-4, 1e-3, 0.01, 0.1), (0.5, 0.9, 0.99), (1.0, 3.0, 0.5)):
         cfg = SchemeConfig(scheme, alpha_sq=alpha_sq, beta_sq=beta_sq, t_s=t_s)
         eta0 = weibull_params(1.0, beta_r=beta_r).eta0
+        stages.clear()
         calls.clear()
-        starts, got = _roots(cfg, eta0)
+        edges, _, raw = channel_mod._curve(cfg, eta0, *channel_mod._scan(cfg, eta0))
+        curve_calls = list(calls)
+        starts, got = channel_mod._curve_roots(edges, raw)
         want_starts, want = _scan_and_brent(cfg, eta0)
         assert (starts, len(got)) == (want_starts, len(want)), cfg
         assert np.all(np.abs(np.subtract(got, want)) <= 2e-13), cfg
-        # a scan in T_E plus at least one refine round took 2 calls per search
-        # with a crossing (1 without); the panel scan takes no more
-        assert len(calls) <= (2 if got else 1), (cfg, calls)
-        one_call += len(calls) == 1
+        # the search's bound calls are exactly the curve's: the scan, then its bisections
+        assert calls == curve_calls and stages[0] == "scan", (cfg, calls)
+        assert set(stages[1:]) <= {"curve"} and len(stages) == len(calls), (cfg, stages)
         seen += len(got)
     assert seen >= 900  # nearly every config has a crossing below eta0^2
-    assert one_call >= 800  # most roots are kept from the scan's own panels
 
 
-def test_crossing_in_the_first_eta_cell_takes_a_second_round(monkeypatch):
+def test_crossing_in_the_first_eta_cell_comes_from_a_bisected_panel():
     # rate_raw carries sqrt(T_E) terms; this crossing lies below eta0 / 100,
-    # in the first panel, next to the singular end of the T_E axis
+    # in the first scan panel, next to the singular end of the T_E axis
     cfg, eta0 = SchemeConfig("rps", alpha_sq=3.0, beta_sq=1e-6, t_s=0.5), weibull_params(1.0).eta0
-    sizes = []
-    real = channel_mod.key_rates
-    monkeypatch.setattr(channel_mod, "key_rates",
-                        lambda c, t: sizes.append(len(t)) or real(c, t))
     starts, (t_star,) = _roots(cfg, eta0)
-    assert sizes[0] == _scan_size() and sizes[1:] in ([], [15])
     assert math.sqrt(t_star) < eta0 / 100
-    monkeypatch.undo()
+    # the curve bisects the scan's first panel, and the root lies on one of its parts
+    _, _, edges, _ = channel_mod._crossings(cfg, eta0)
+    k = np.searchsorted(edges, math.sqrt(t_star)) - 1
+    assert edges[k + 1] - edges[k] < eta0 / channel_mod._PANELS / 2
     want_starts, (want,) = _scan_and_brent(cfg, eta0)
     assert starts == want_starts and t_star == pytest.approx(want, abs=2e-13)
 
@@ -752,8 +754,8 @@ def test_two_crossings_use_the_scan_fallback(monkeypatch):
     assert got.rate == pytest.approx(0.5 * want, rel=1e-6)
 
 
-def test_refine_error_names_eta0_and_the_element(monkeypatch):
-    # a kink at the root: no panel interpolant resolves it, so a refine round runs
+def test_curve_error_names_eta0_and_the_element(monkeypatch):
+    # a kink at the root: no panel interpolant resolves it, so a bisection round runs
     scan = _fake_rates(lambda t: np.where(t < 0.3, t - 0.3, 2.0 * (t - 0.3)))
 
     def boom(cfg, t):
@@ -768,7 +770,7 @@ def test_refine_error_names_eta0_and_the_element(monkeypatch):
     with pytest.raises(NumericalDomainError) as err:
         average_key_rates(SchemeConfig("nops"), m, QuadratureSpec(200))
     # key_rates names t_e; the crossing search adds eta0, the stage and the element
-    assert str(err.value) == f"synthetic failure at eta0={m.eta0:.6g}, refine 7"
+    assert str(err.value) == f"synthetic failure at eta0={m.eta0:.6g}, curve 7"
 
 
 def test_crossing_above_the_aperture_limit_gives_zero():
@@ -975,7 +977,7 @@ def test_crossings_at_and_between_the_ends_map_as_the_cdf_does(starts, beta_r, s
     roots += (np.nextafter(m.eta0, 2.0) ** 2,) * (fractions[:1] == [1.0])
     channel_mod._crossings.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(channel_mod, "_find_crossings", lambda cfg, eta0, x, f: (starts, roots))
+        mp.setattr(channel_mod, "_curve_roots", lambda edges, raw: (starts, roots))
         crossings = channel_mod._crossings(SchemeConfig("nops"), m.eta0)
     channel_mod._crossings.cache_clear()
     region = channel_mod._positive_region(m, *crossings[:2])
