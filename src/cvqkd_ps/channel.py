@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -44,12 +45,13 @@ _SERIES_MAX_TERMS = 400
 _HANKEL_FROM = 50.0  # the power series below this argument, Hankel's expansion above
 
 
-def _bessel_series(order: int, x: float) -> float:
-    """sum_j (x/2)^(2j+order) / (j! (j+order)!); all terms are positive, so no
-    cancellation occurs (used for x < _HANKEL_FROM, about 60 terms)."""
+def _bessel_series(order: int, x: float, first: int = 0) -> float:
+    """sum_(j >= first) (x/2)^(2j+order) / (j! (j+order)!), first 0 or 1; all terms
+    are positive, so no cancellation occurs (used for x < _HANKEL_FROM, about 60
+    terms).  first = 1 gives I0(x) - 1 without the cancellation of subtracting 1."""
     half = x / 2.0
     term = half if order == 1 else 1.0
-    total = term
+    total = 0.0 if first else term
     for j in range(1, _SERIES_MAX_TERMS):
         term *= half * half / (j * (j + order))
         total += term
@@ -132,10 +134,17 @@ def _geometry(beta_r: float, w: float) -> tuple:
     lambda = 8h [e^{-4h} I1(4h) / (1 - e^{-4h} I0(4h))] / ln(2 eta0^2 / (1 - e^{-4h} I0(4h)))
     L      = beta_r [ln(...)]^{-1/lambda}
 
-    The products e^{-4h} I(4h) are taken from the scaled Bessel function, so
-    they stay finite for any aperture-to-beam ratio; a geometry whose h,
-    lambda or L leaves the float range (beta_r / w above about 2.7e153, or
-    next to 3e-6) is refused.
+    Each factor is formed without cancellation, as they all tend to 0 with h:
+    eta0^2 = -expm1(-2h); the numerator of the log's argument less its
+    denominator, num = 1 - 2e^{-2h} + e^{-4h} I0(4h) = eta0^4 + e^{-4h} (I0(4h) - 1),
+    takes I0 - 1 from the series' terms j >= 1 (Hankel's expansion less e^{-4h}
+    above _HANKEL_FROM); then 1 - e^{-4h} I0(4h) = 2 eta0^2 - num and the log is
+    log1p(num / (2 eta0^2 - num)).  As h -> 0, lambda -> 2 and L -> w / sqrt(2).
+    The products e^{-4h} I(4h) are taken from the scaled Bessel function, so they
+    stay finite for any aperture-to-beam ratio.  A geometry whose h or lambda
+    leaves the float range (beta_r / w above about 2.7e153), or whose eta0^4 and
+    so num lose their digits below the normal floats (beta_r / w below about
+    8.6e-78), is refused.
     """
     where = f"degenerate beam geometry (beta_r={beta_r:g}, w={w:g}"
     try:
@@ -144,25 +153,24 @@ def _geometry(beta_r: float, w: float) -> tuple:
         h = math.inf
     if not h < math.inf:  # inf / w overflows to inf too, and then lambda is NaN
         raise ValueError(f"{where}): h = (beta_r / w)^2 overflows")
-    eta0_sq = 1.0 - math.exp(-2.0 * h)
-    denom = 1.0 - bessel_ive(0, 4.0 * h)
-    if denom <= 0.0 or eta0_sq <= 0.0:
-        raise ValueError(f"{where}, h={h:.3g}): no fading support")
-    ln_arg = 2.0 * eta0_sq / denom
-    if ln_arg <= 1.0:
-        raise ValueError(f"{where}, h={h:.3g}): shape parameter undefined")
-    ln_term = math.log(ln_arg)
-    lam = 8.0 * h * (bessel_ive(1, 4.0 * h) / denom) / ln_term
+    x = 4.0 * h
+    eta0_sq = -math.expm1(-2.0 * h)
+    if x < _HANKEL_FROM:
+        i0_less_1 = _bessel_series(0, x, first=1) * math.exp(-x)
+    else:
+        i0_less_1 = bessel_ive(0, x) - math.exp(-x)
+    if eta0_sq**2 < sys.float_info.min:  # e^-4h (I0(4h) - 1) is as small
+        raise ValueError(f"{where}, h={h:.3g}): eta0^4 = {eta0_sq**2:.3g} is below the "
+                         "normal floats, where the shape parameter loses its digits")
+    num = eta0_sq**2 + i0_less_1
+    denom = 2.0 * eta0_sq - num
+    ln_term = math.log1p(num / denom)
+    lam = 8.0 * h * (bessel_ive(1, x) / denom) / ln_term
     # e^-4h I1(4h) underflows to 0 from h of about 7.2e306 on, and 8h overflows from 2.2e307
     if not 0.0 < lam < math.inf:
         raise ValueError(f"{where}, h={h:.3g}): shape parameter leaves the float range")
-    try:
-        scale = beta_r * ln_term ** (-1.0 / lam)
-    except OverflowError:  # ln_term next to 0 and lambda small: h of about 1e-11
-        scale = math.inf
-    if not 0.0 < scale < math.inf:
-        raise ValueError(f"{where}, h={h:.3g}): scale parameter leaves the float range")
-    return h, math.sqrt(eta0_sq), lam, scale
+    # ln_term >= 1.4e-154 and lambda >= 2 here, so L is finite
+    return h, math.sqrt(eta0_sq), lam, beta_r * ln_term ** (-1.0 / lam)
 
 
 def _law_terms(eta0: float, eta):

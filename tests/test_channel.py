@@ -174,7 +174,9 @@ def test_a_large_finite_aperture_to_beam_ratio_is_a_lossless_link(tmp_path):
 @settings(max_examples=300, deadline=None)
 @example(153.82, 0.0)  # h finite, 8h overflows: lambda would be inf
 @example(0.25, -153.25)  # h finite, e^-4h I1(4h) underflows: lambda would be 0
-@example(-4.3125, 1.0)  # h about 2e-11: L would overflow
+@example(-4.3125, 1.0)  # h about 2e-11: L overflowed while eta0^2 and lambda cancelled
+@example(-77.06, 0.0)  # next to the smallest ratio kept: eta0^4 is a normal float
+@example(-77.07, 0.0)  # eta0^4 is subnormal: refused
 @example(154.1, 0.0)  # beta_r / w finite, its square overflows
 @example(200.0, -200.0)  # beta_r / w overflows
 @given(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0))
@@ -214,6 +216,46 @@ def test_weibull_wide_apertures(beta_r):
     lam, l_scale = _scipy_weibull_shape(beta_r)
     assert m.lambda_shape == pytest.approx(lam, rel=1e-12)
     assert m.l_scale == pytest.approx(l_scale, rel=1e-12)
+
+
+def _mp_geometry(beta_r, w):
+    """(eta0, lambda, L) from _geometry's formulas in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        h = (mpmath.mpf(beta_r) / mpmath.mpf(w)) ** 2
+        eta0_sq = -mpmath.expm1(-2 * h)
+        denom = 1 - mpmath.exp(-4 * h) * mpmath.besseli(0, 4 * h)
+        ln_term = mpmath.log(2 * eta0_sq / denom)
+        lam = 8 * h * mpmath.exp(-4 * h) * mpmath.besseli(1, 4 * h) / denom / ln_term
+        return mpmath.sqrt(eta0_sq), lam, mpmath.mpf(beta_r) * ln_term ** (-1 / lam)
+
+
+@pytest.mark.parametrize("w", [0.5, 1.0])
+@pytest.mark.parametrize("ratio", [1e-6, 1e-5, 1e-4, 1e-3, 0.01, 0.1, 1.0, 3.0, 10.0])
+def test_geometry_matches_50_digit_arithmetic(ratio, w):
+    # eta0^2, 1 - e^-4h I0(4h) and their log ratio all tend to 0 with h: formed by
+    # subtraction, L was 21% off at a ratio of 1e-4 and refused from about 1e-5
+    m = weibull_params(1.0, ratio * w, w)
+    for got, want in zip((m.eta0, m.lambda_shape, m.l_scale), _mp_geometry(ratio * w, w)):
+        assert abs(got / float(want) - 1.0) <= 1e-14, (got, want)
+
+
+@pytest.mark.parametrize("w", [0.5, 1.0])
+def test_a_small_aperture_tends_to_the_gaussian_limit(w):
+    # as h -> 0, lambda -> 2 and L -> w / sqrt(2), each within O(h)
+    for ratio in (1e-4, 1e-6, 1e-10, 1e-30, 1e-70):
+        m = weibull_params(1.0, ratio * w, w)
+        assert m.eta0 == pytest.approx(math.sqrt(2.0) * ratio, rel=2.0 * ratio**2)
+        assert abs(m.lambda_shape - 2.0) <= 4.0 * ratio**2 + 4.0 * EPS
+        assert m.l_scale == pytest.approx(w / math.sqrt(2.0), rel=ratio**2 + 4.0 * EPS)
+
+
+@pytest.mark.parametrize("beta_r", [1e-5, 1e-6])
+def test_a_small_aperture_is_not_refused(tmp_path, beta_r):
+    # T_E <= eta0^2 = 2e-10 or 2e-12: far below every crossing, so every average is 0
+    out = tmp_path / "out.csv"
+    cli_main(["satellite-closeup", "--beta-r", repr(beta_r), "--points", "2", "--out", str(out)])
+    rows = parse_csv(out).rows
+    assert len(rows) == 6 and all(row[2:] == (0.0, 0.0) for row in rows)
 
 
 # ------------------------------------------------------------------ pdf / cdf
@@ -910,9 +952,10 @@ def test_a_failed_crossing_search_is_not_memoised(monkeypatch):
 def test_a_warm_average_at_another_sigma_b_evaluates_no_bessel_series_and_no_cdf(monkeypatch):
     cfg, quad = SchemeConfig("rps"), QuadratureSpec(200)
     cold = average_key_rates(cfg, weibull_params(5.0), quad)
-    calls, rates, bessel, law = [], channel_mod.key_rates, channel_mod.bessel_ive, channel_mod.cdf
+    calls, rates, law = [], channel_mod.key_rates, channel_mod.cdf
     monkeypatch.setattr(channel_mod, "key_rates", lambda c, t: calls.append(len(t)) or rates(c, t))
-    monkeypatch.setattr(channel_mod, "bessel_ive", lambda *a: calls.append("bessel") or bessel(*a))
+    for name in ("_bessel_series", "_bessel_hankel_scaled"):
+        _count_calls(monkeypatch, name, calls)
     monkeypatch.setattr(channel_mod, "cdf", lambda *a: calls.append("cdf") or law(*a))
     warm = average_key_rates(cfg, weibull_params(1.0), quad)  # same config and geometry
     assert calls == []
@@ -923,12 +966,18 @@ def test_a_warm_average_at_another_sigma_b_evaluates_no_bessel_series_and_no_cdf
     assert average_key_rates(cfg, weibull_params(1.0), quad) == warm != cold
 
 
+def _count_calls(monkeypatch, name, calls):
+    """Record each call of channel_mod.<name> in calls: a Bessel series or expansion."""
+    real = getattr(channel_mod, name)
+    monkeypatch.setattr(channel_mod, name, lambda *a, **k: calls.append((name, a)) or real(*a, **k))
+
+
 def test_a_geometry_is_derived_once_and_a_degenerate_one_is_not_memoised(monkeypatch):
     calls = []
-    real = channel_mod.bessel_ive
-    monkeypatch.setattr(channel_mod, "bessel_ive", lambda *a: calls.append(a) or real(*a))
+    for name in ("_bessel_series", "_bessel_hankel_scaled"):
+        _count_calls(monkeypatch, name, calls)
     first = weibull_params(1.0, beta_r=2.0, w=3.0)
-    assert len(calls) == 2  # I0 and I1 at 4h
+    assert len(calls) == 2  # I0 - 1 and I1 at 4h
     again = weibull_params(7.0, beta_r=2.0, w=3.0)
     assert len(calls) == 2
     assert (again.h, again.eta0, again.lambda_shape, again.l_scale) == (
