@@ -153,15 +153,15 @@ def _geometry(beta_r: float, w: float) -> tuple:
         h = math.inf
     if not h < math.inf:  # inf / w overflows to inf too, and then lambda is NaN
         raise ValueError(f"{where}): h = (beta_r / w)^2 overflows")
-    x = 4.0 * h
     eta0_sq = -math.expm1(-2.0 * h)
+    if eta0_sq**2 < sys.float_info.min:  # e^-4h (I0(4h) - 1) is as small
+        raise ValueError(f"{where}, h={h:.3g}): eta0^4 = {eta0_sq**2:.3g} is below the "
+                         "normal floats, where the shape parameter loses its digits")
+    x = 4.0 * h
     if x < _HANKEL_FROM:
         i0_less_1 = _bessel_series(0, x, first=1) * math.exp(-x)
     else:
         i0_less_1 = bessel_ive(0, x) - math.exp(-x)
-    if eta0_sq**2 < sys.float_info.min:  # e^-4h (I0(4h) - 1) is as small
-        raise ValueError(f"{where}, h={h:.3g}): eta0^4 = {eta0_sq**2:.3g} is below the "
-                         "normal floats, where the shape parameter loses its digits")
     num = eta0_sq**2 + i0_less_1
     denom = 2.0 * eta0_sq - num
     ln_term = math.log1p(num / denom)
@@ -367,9 +367,9 @@ def _lobatto() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _scan(cfg: SchemeConfig, eta0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Round 0 of the rate curve: _PANELS even panels of
-    [0, eta0] with 17 Lobatto points each (neighbours share their ends), sampled in
-    one call.  Their eta, one row per panel, and rate and rate_raw there, stacked."""
+    """Round 0 of the rate curve: _PANELS even panels of [0, eta0] with 17 Lobatto
+    points each (neighbours share their ends), sampled in one call.  Their eta, one
+    row per panel, and rate and rate_raw there, stacked."""
     nodes, _ = _lobatto()
     eta = np.append((eta0 / _PANELS) * (np.arange(_PANELS)[:, None] + (1.0 + nodes[:-1]) / 2.0),
                     eta0)

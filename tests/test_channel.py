@@ -174,7 +174,7 @@ def test_a_large_finite_aperture_to_beam_ratio_is_a_lossless_link(tmp_path):
 @settings(max_examples=300, deadline=None)
 @example(153.82, 0.0)  # h finite, 8h overflows: lambda would be inf
 @example(0.25, -153.25)  # h finite, e^-4h I1(4h) underflows: lambda would be 0
-@example(-4.3125, 1.0)  # h about 2e-11: L overflowed while eta0^2 and lambda cancelled
+@example(-4.3125, 1.0)  # h about 2e-11: eta0^2, 1 - e^-4h I0(4h) and their log ratio near 0
 @example(-77.06, 0.0)  # next to the smallest ratio kept: eta0^4 is a normal float
 @example(-77.07, 0.0)  # eta0^4 is subnormal: refused
 @example(154.1, 0.0)  # beta_r / w finite, its square overflows
@@ -233,7 +233,7 @@ def _mp_geometry(beta_r, w):
 @pytest.mark.parametrize("ratio", [1e-6, 1e-5, 1e-4, 1e-3, 0.01, 0.1, 1.0, 3.0, 10.0])
 def test_geometry_matches_50_digit_arithmetic(ratio, w):
     # eta0^2, 1 - e^-4h I0(4h) and their log ratio all tend to 0 with h: formed by
-    # subtraction, L was 21% off at a ratio of 1e-4 and refused from about 1e-5
+    # subtraction, L would be 21% off at a ratio of 1e-4, and refused from about 1e-5
     m = weibull_params(1.0, ratio * w, w)
     for got, want in zip((m.eta0, m.lambda_shape, m.l_scale), _mp_geometry(ratio * w, w)):
         assert abs(got / float(want) - 1.0) <= 1e-14, (got, want)
