@@ -150,7 +150,9 @@ def main(argv=None) -> int:
     # the command's own parser alone, which the full one would call as well
     sp = commands[argv[0]]
     args = sp.parse_args(argv[1:], namespace=argparse.Namespace(command=argv[0]))
-    try:  # a settings error is reported as a usage error, as argparse's own are
+    # a settings error, refused by the config file, the config or the run itself,
+    # is a usage error as argparse's own are; a NumericalDomainError propagates
+    try:
         if args.config:
             # parse the command's flags again over a namespace holding the file's
             # values: argparse fills in only the defaults the namespace lacks, so
@@ -170,10 +172,9 @@ def main(argv=None) -> int:
             args = sp.parse_args(argv[1:], namespace=seeded)
             if args.scheme is None and file_schemes is not None:
                 args.scheme = file_schemes
-        config = config_from_args(args)
+        result = run_experiment(config_from_args(args))
     except ValueError as exc:
         sp.error(str(exc))
-    result = run_experiment(config)
     emit_csv(result, args.out)
     print(f"wrote {len(result.rows)} rows to {args.out}")
     return 0

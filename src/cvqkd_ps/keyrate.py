@@ -184,14 +184,6 @@ def key_rate_from_summary(s: CovarianceSummary, recon_eff: float, t_e: float) ->
                         rate=s.p_sub * rate_raw)
 
 
-def check_beta_sq(beta_sq: float) -> None:
-    """Refuse, by a ValueError that names it, a beta_sq past the range where the
-    bound keeps its precision."""
-    if beta_sq > _BETA_SQ_MAX:
-        raise ValueError(f"beta_sq={beta_sq:g} out of range: > {_BETA_SQ_MAX:g}, "
-                         "where the bound loses its precision next to T_E = 1")
-
-
 def key_rates_many(cfgs, t_e) -> list:
     """Closed-form moments of the untruncated state (``exact``: the channel
     map and one shared photon tap, p_sub = m / (1 + m)^2 with
@@ -203,10 +195,11 @@ def key_rates_many(cfgs, t_e) -> list:
     Where the tap can never fire there is no conditional state: p_sub and
     every rate are 0.  ``cfg.trunc_n`` is not used here.  An alpha_sq or a
     beta_sq past the range where the bound keeps its precision raises a
-    ValueError that names it.  Any failure of the bound on the computed
-    moments, a ValueError of ``mutual_information`` or ``von_neumann_g``
-    included, raises a NumericalDomainError that names the scheme and t_e of
-    the first failing element, and its ``index`` along t_e.
+    ValueError that names it, checked for each config before the bound call.
+    Any failure of the bound on the computed moments, a ValueError of
+    ``mutual_information`` or ``von_neumann_g`` included, raises a
+    NumericalDomainError that names the scheme and t_e of the first failing
+    element, and its ``index`` along t_e.
     """
     t = np.atleast_1d(np.asarray(t_e, dtype=float))
     if t.ndim > 1:
@@ -215,7 +208,9 @@ def key_rates_many(cfgs, t_e) -> list:
         return []
     summaries = []
     for cfg in cfgs:
-        check_beta_sq(cfg.beta_sq)
+        if cfg.beta_sq > _BETA_SQ_MAX:
+            raise ValueError(f"beta_sq={cfg.beta_sq:g} out of range: > {_BETA_SQ_MAX:g}, "
+                             "where the bound loses its precision next to T_E = 1")
         s = exact_summary(cfg, t)
         big = s.v_a > _V_A_MAX
         if np.count_nonzero(big):  # the message, which names alpha_sq, is formatted only here

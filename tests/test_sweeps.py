@@ -533,8 +533,8 @@ def test_cli_rejects_an_invalid_layer_value(tmp_path, capsys, command, flag, val
 
 
 def test_cli_rejects_beta_sq_out_of_range_by_name(tmp_path, capsys):
-    # the parent code wrote nan cells for nops and tps here and exited 0; the
-    # config refuses it up front, as a usage error, with key_rates_many's message
+    # nops and tps once wrote nan cells here and exited 0; key_rates_many refuses
+    # it before its bound call, and the CLI reports that as a usage error
     out = tmp_path / "out.csv"
     for argv in (["distance-sweep", "--beta-sq", "1e200", "--points", "3"],
                  ["noise-grid", "--beta-sq-values", "0.001,1e3", "--points", "3"],
@@ -548,20 +548,46 @@ def test_cli_rejects_beta_sq_out_of_range_by_name(tmp_path, capsys):
         key_rates(SchemeConfig("nops", beta_sq=1e3), [0.5])  # library callers too
 
 
-def test_a_config_refuses_what_only_its_run_would_find():
-    # every beta_sq that runs, and the fading law at both ends of the sigma_b axis
-    with pytest.raises(ValueError, match=r"^beta_sq=1e\+200 out of range: > 100"):
-        ExperimentConfig("distance_sweep", base=SchemeConfig("nops", beta_sq=1e200), points=3)
-    with pytest.raises(ValueError, match=r"^beta_sq=200 out of range: > 100"):
-        ExperimentConfig("noise_grid", beta_sq_values=(0.1, 200.0))
+@pytest.mark.parametrize("argv", [
+    ["transmissivity-sweep", "--alpha-sq", "1e9", "--points", "3"],
+    ["photon-grid", "--alpha-sq-values", "1,1e9", "--points", "3"],
+    ["satellite-sweep", "--scheme", "rps", "--alpha-sq", "1e9", "--points", "2"],
+])
+def test_cli_rejects_alpha_sq_out_of_range_by_name(tmp_path, capsys, argv):
+    # V_A depends on the scheme, and for rps on T_E, so only the run can judge an
+    # alpha_sq; its refusal is a usage error too, with key_rates_many's message
+    out = tmp_path / "out.csv"
+    message = _usage_error(capsys, argv + ["--out", str(out)])
+    assert re.match(r"^alpha_sq=1e\+09 out of range: V_A = \S+ > 1e\+09, where the bound "
+                    r"loses its precision$", message), message
+    assert not out.exists()
+
+
+def test_a_run_refuses_a_setting_past_its_physical_range(monkeypatch):
+    # these configs construct: the run alone refuses each, before any bound call,
+    # by the message of key_rates_many (beta_sq) or weibull_params (fading law)
+    refused = [
+        (ExperimentConfig("distance_sweep", base=SchemeConfig("nops", beta_sq=1e200), points=3),
+         r"^beta_sq=1e\+200 out of range: > 100"),
+        (ExperimentConfig("noise_grid", beta_sq_values=(0.1, 200.0)),
+         r"^beta_sq=200 out of range: > 100"),
+        (ExperimentConfig("satellite_closeup", points=1, beta_r=1e200, beam_w=1e-200),
+         r"^degenerate beam geometry \(beta_r=1e\+200, w=1e-200"),
+        (ExperimentConfig("satellite_sweep", start=1e-200, points=3),
+         r"^sigma_b=1e-200 out of range"),
+    ]
+    with monkeypatch.context() as patch:
+        patch.setattr(keyrate_mod, "key_rate_from_summary", None)  # a call would raise TypeError
+        for config, pattern in refused:
+            with pytest.raises(ValueError, match=pattern):
+                run_experiment(config)
     # the layers overwrite the base beta_sq, so they alone run
-    ExperimentConfig("noise_grid", base=SchemeConfig("nops", beta_sq=1e200))
-    with pytest.raises(ValueError, match=r"^degenerate beam geometry \(beta_r=1e\+200, w=1e-200"):
-        ExperimentConfig("satellite_closeup", points=1, beta_r=1e200, beam_w=1e-200)
-    with pytest.raises(ValueError, match=r"^sigma_b=1e-200 out of range"):
-        ExperimentConfig("satellite_sweep", start=1e-200, points=3)
+    config = ExperimentConfig("noise_grid", base=SchemeConfig("nops", beta_sq=1e200))
+    rows = run_experiment(config).rows
+    assert {row[0] for row in rows} == set(sweeps_mod.DEFAULT_BETA_SQ_VALUES)
     # one point is stop alone, as the axis has it
-    assert ExperimentConfig("satellite_sweep", start=1e-200, points=1).axis().tolist() == [20.0]
+    rows = run_experiment(ExperimentConfig("satellite_sweep", start=1e-200, points=1)).rows
+    assert [row[0] for row in rows] == [20.0, 20.0, 20.0]
 
 
 @pytest.mark.parametrize("command", ["transmissivity-sweep", "distance-sweep", "noise-grid"])
