@@ -103,13 +103,13 @@ def symplectic_eigenvalues(m: TwoModeCov) -> np.ndarray:
 def von_neumann_g(v: float) -> float:
     """Entropy of a thermal mode with symplectic eigenvalue v, in bits.
 
-    g(v) = ((v+1)/2) log2((v+1)/2) - ((v-1)/2) log2((v-1)/2), with g(1) = 0.
+    g(v) = ((v+1)/2) log2((v+1)/2) - ((v-1)/2) log2((v-1)/2), with g(1) = 0,
+    formed as (ln(1 + d) + d ln(1 + 1/d)) / ln 2 with d = (v-1)/2: the two
+    terms of the first form are O(v log v) and differ by O(log v).
     """
     _check(v < 1.0 - _NU_CLAMP, ValueError, "symplectic eigenvalue {} below 1", v)
-    x = np.maximum(v, 1.0)  # g = 0 for v within the clamp below 1
-    up = (x + 1.0) / 2.0
-    dn = (x - 1.0) / 2.0
-    return up * np.log2(up) - dn * np.log2(np.where(dn > 0.0, dn, 1.0))
+    dn = (np.maximum(v, 1.0) - 1.0) / 2.0  # g = 0 for v within the clamp below 1
+    return (np.log1p(dn) + dn * np.log1p(1.0 / np.where(dn > 0.0, dn, np.inf))) / np.log(2.0)
 
 
 def mutual_information(v_a: float, v_b2: float, c_ab2: float) -> float:
