@@ -114,6 +114,8 @@ class FadingModel:
 def weibull_params(sigma_b: float, beta_r: float = 1.0, w: float = 1.0) -> FadingModel:
     """The fading law at sigma_b for the beam geometry (beta_r, w), whose
     (h, eta0, lambda, L) come from _geometry."""
+    # as Python floats, whose h overflows as an OverflowError, not a numpy warning
+    sigma_b, beta_r, w = float(sigma_b), float(beta_r), float(w)
     for name, value in (("sigma_b", sigma_b), ("beta_r", beta_r), ("w", w)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite")
@@ -243,12 +245,15 @@ def mean_transmissivity(model: FadingModel, nodes: int = 400) -> float:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Averaging policy: node budget (NODES_MIN to NODES_MAX) and treatment of negative bounds."""
+    """Averaging policy: node budget (an integer, NODES_MIN to NODES_MAX) and treatment of
+    negative bounds."""
 
     node_count: int = 200
     clamp_negative: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.node_count, numbers.Integral):
+            raise ValueError(f"node_count must be an integer, got {self.node_count!r}")
         if self.node_count < NODES_MIN:
             raise ValueError(f"node_count must be >= {NODES_MIN}, got {self.node_count}")
         if self.node_count > NODES_MAX:
@@ -533,9 +538,6 @@ def average_key_rates_many(cfg: SchemeConfig, models, quad: QuadratureSpec) -> l
     out, a = [], 0
     for k, coef in curves:
         b = a + len(k)
-        if a == b:
-            out.append(AveragedKeyRate(0.0, 0.0))
-            continue
         runs = np.flatnonzero(np.diff(k, prepend=-1))  # the nodes of a model rise in eta
         sums = np.add.reduceat(rows[:, a:b], runs, axis=1)
         rate, raw = coef[:, k[runs]].reshape(2, -1) @ sums.T.ravel()

@@ -180,7 +180,7 @@ def run_experiment(config: ExperimentConfig) -> SweepResult:
     # each branch gives its points, axis and value columns, and one list of
     # value cells per point for each (layer, scheme) block of cfgs
     if kind.axis == "sigma_b":
-        models = [weibull_params(float(sb), config.beta_r, config.beam_w) for sb in axis]
+        models = [weibull_params(sb, config.beta_r, config.beam_w) for sb in axis]
         points, columns = [(m.sigma_b,) for m in models], ("sigma_b",)
         values = ("k_avg", "k_avg_normalized")
         n = max(1, _POINTS_PER_CALL // config.quad.node_count)  # models per call

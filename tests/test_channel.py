@@ -165,6 +165,14 @@ def test_a_geometry_whose_h_overflows_is_refused_by_name(tmp_path, capsys, beta_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("beta_r,w", [(np.float64(1e200), 1.0), (1.0, np.float64(1e-200))])
+def test_a_geometry_of_numpy_scalars_whose_h_overflows_is_refused_by_name(beta_r, w):
+    # numpy scalars overflow with a RuntimeWarning (an error under the suite's
+    # filters), not with the OverflowError the geometry turns into its own error
+    with pytest.raises(ValueError, match=r"^degenerate beam geometry \(beta_r="):
+        weibull_params(1.0, beta_r, w)
+
+
 def test_a_large_finite_aperture_to_beam_ratio_is_a_lossless_link(tmp_path):
     out = tmp_path / "out.csv"
     cli_main(["satellite-closeup", "--points", "1", "--beta-r", "1e150", "--out", str(out)])
@@ -451,6 +459,13 @@ def test_degenerate_wander_concentrates_at_eta0():
 def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(node_count=1)
+
+
+@pytest.mark.parametrize("node_count", [100.5, 200.0])
+def test_quadrature_spec_refuses_a_node_budget_that_is_no_integer(node_count):
+    # a run would fail on it in range(), and the CSV would record it as given
+    with pytest.raises(ValueError, match=rf"^node_count must be an integer, got {node_count}$"):
+        QuadratureSpec(node_count)
 
 
 def test_quadrature_spec_refuses_a_budget_below_the_segment_floor():
