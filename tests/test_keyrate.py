@@ -115,8 +115,8 @@ def test_g_monotone_and_domain():
 
 @pytest.mark.parametrize("v", [1e4, 1e8])
 def test_g_keeps_its_digits_for_a_large_eigenvalue(v):
-    # up log2 up - dn log2 dn cancels O(v log v) terms to O(log v): 1.2e-13 off
-    # at v = 1e4 and 8.4e-9 at v = 1e8
+    # up log2 up - dn log2 dn cancels O(v log v) terms to O(log v), 1.2e-13 and
+    # 8.4e-9 off here
     import mpmath
 
     with mpmath.workdps(50):
@@ -130,8 +130,8 @@ def test_g_keeps_its_digits_for_a_large_eigenvalue(v):
     (SchemeConfig("rps", alpha_sq=22.7, beta_sq=0.0066), 0.11915527819578556),
 ])
 def test_rate_raw_is_smooth_within_ulps_of_a_transmission_coefficient(cfg, eta):
-    # the 41 floats within 20 ulps of eta; with g's cancelling form rate_raw spread
-    # over 1.1e-13 and 8.8e-14 here
+    # the 41 floats within 20 ulps of eta: a g that cancels O(v log v) terms spreads
+    # rate_raw over 1.1e-13 and 8.8e-14 here
     etas = [eta]
     for _ in range(20):
         etas = [np.nextafter(etas[0], 0.0), *etas, np.nextafter(etas[-1], 1.0)]
