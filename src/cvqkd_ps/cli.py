@@ -151,7 +151,9 @@ def main(argv=None) -> int:
     sp = commands[argv[0]]
     args = sp.parse_args(argv[1:], namespace=argparse.Namespace(command=argv[0]))
     # a settings error, refused by the config file, the config or the run itself,
-    # is a usage error as argparse's own are; a NumericalDomainError propagates
+    # is a usage error as argparse's own are, and so is a config file or an output
+    # that the OS refuses; the CSV is opened only after the run, so a refused run
+    # writes none; a NumericalDomainError propagates
     try:
         if args.config:
             # parse the command's flags again over a namespace holding the file's
@@ -173,9 +175,9 @@ def main(argv=None) -> int:
             if args.scheme is None and file_schemes is not None:
                 args.scheme = file_schemes
         result = run_experiment(config_from_args(args))
-    except ValueError as exc:
+        emit_csv(result, args.out)
+    except (ValueError, OSError) as exc:
         sp.error(str(exc))
-    emit_csv(result, args.out)
     print(f"wrote {len(result.rows)} rows to {args.out}")
     return 0
 

@@ -77,16 +77,6 @@ def bs_coefficient(n: int, k: int, t: float) -> float:
     return math.sqrt(math.comb(n, k)) * t ** ((n - k) / 2) * (1.0 - t) ** (k / 2)
 
 
-def pairing_factor(n: int, k: int, m: int, l: int) -> float:
-    """Combinatorial factor sqrt(C(n-k+l, l)) * sqrt(C(k+m-l, k)) produced when
-    the two beam-splitter binomial expansions act on the same output modes."""
-    if k < 0 or not 0 <= l <= m:
-        raise ValueError(f"need k >= 0 and 0 <= l <= m, got k={k}, m={m}, l={l}")
-    if n - k + l < l or k + m - l < k:
-        raise ValueError(f"malformed binomials for (n={n}, k={k}, m={m}, l={l})")
-    return math.sqrt(math.comb(n - k + l, l)) * math.sqrt(math.comb(k + m - l, k))
-
-
 def analytic_tap_probability(alpha_sq: float, t_s: float) -> float:
     """Closed-form probability of tapping exactly one photon off a TMSV arm:
     mu(1-T_S) / ((1+alpha^2)(1-mu T_S)^2) with mu = alpha^2/(1+alpha^2)."""
@@ -115,11 +105,11 @@ def _index_pairs(nmax: int, kmax_of_n) -> tuple[np.ndarray, np.ndarray]:
 class _Skeleton:
     """Parameter-independent index tables for one (scheme, trunc_n).
 
-    Holds the flat enumeration of summation tuples (n, k, m, l), their
-    combinatorial weights and channel-transmissivity exponents, the sorted
-    table of destination kets, and the tuple -> ket accumulation map.  The
-    tables depend only on the scheme and the cutoff, so one skeleton serves
-    every physical parameter set and every channel transmissivity.
+    Holds, for each summation tuple (n, k, m, l), its combinatorial weight,
+    its channel-transmissivity exponents and the row of its destination ket,
+    and the sorted table of destination kets.  The tables depend only on the
+    scheme and the cutoff, so one skeleton serves every physical parameter
+    set and every channel transmissivity.
     """
 
     def __init__(self, scheme: str, trunc_n: int):
@@ -163,10 +153,6 @@ class _Skeleton:
         codes = ((n * big + b2) * big + e_occ) * big + m
         uniq, group = np.unique(codes, return_inverse=True)
 
-        self.tup_n = n.astype(np.int32)
-        self.tup_k = k.astype(np.int32)
-        self.tup_m = m.astype(np.int32)
-        self.tup_l = l.astype(np.int32)
         self.comb = comb
         self.st_exp = (ns - k + m - l).astype(np.int16)  # power of sqrt(T_E)
         self.sr_exp = (k + l).astype(np.int16)           # power of sqrt(1-T_E)
@@ -178,7 +164,7 @@ class _Skeleton:
             kets[:, col] = rem % big
             rem //= big
         self.kets = kets
-        self._pair_cache: dict[tuple, np.ndarray] = {}
+        self._shift_cache: dict[tuple, np.ndarray] = {}
 
     @staticmethod
     def _pascal(nmax: int) -> np.ndarray:
@@ -188,46 +174,22 @@ class _Skeleton:
             p[i, 1 : i + 1] = p[i - 1, : i] + p[i - 1, 1 : i + 1]
         return p
 
-    def _shifted_index(self, shift: np.ndarray, valid: np.ndarray) -> np.ndarray:
-        """Row index of each ket shifted by `shift` occupation counts, -1 if the
-        shifted ket is outside the table or `valid` is false."""
-        weights = np.array([self._base**3, self._base**2, self._base, 1], dtype=np.int64)
-        target = self.ket_codes + shift @ weights
-        pos = np.searchsorted(self.ket_codes, target)
+    def rows(self, kets) -> np.ndarray:
+        """Row of each occupation quadruple in the ket table, -1 where it is
+        absent; a quadruple with an occupation outside [0, _base) is absent."""
+        kets = np.asarray(kets, dtype=np.int64).reshape(-1, 4)
+        base = self._base
+        codes = ((kets[:, 0] * base + kets[:, 1]) * base + kets[:, 2]) * base + kets[:, 3]
+        pos = np.searchsorted(self.ket_codes, codes)
         pos[pos >= self.ket_codes.size] = 0
-        hit = (self.ket_codes[pos] == target) & valid
-        out = np.where(hit, pos, -1)
-        return out
+        hit = (self.ket_codes[pos] == codes) & ((kets >= 0) & (kets < base)).all(axis=1)
+        return np.where(hit, pos, -1)
 
-    def raise_raise(self, ix: int, iy: int) -> np.ndarray:
-        key = ("rr", ix, iy)
-        if key not in self._pair_cache:
-            shift = np.zeros(4, dtype=np.int64)
-            shift[ix] += 1
-            shift[iy] += 1
-            ok = np.ones(self.kets.shape[0], dtype=bool)
-            self._pair_cache[key] = self._shifted_index(shift, ok)
-        return self._pair_cache[key]
-
-    def raise_lower(self, ix: int, iy: int) -> np.ndarray:
-        """Raise mode ix, lower mode iy (entries with empty iy are -1)."""
-        key = ("rl", ix, iy)
-        if key not in self._pair_cache:
-            shift = np.zeros(4, dtype=np.int64)
-            shift[ix] += 1
-            shift[iy] -= 1
-            ok = self.kets[:, iy] >= 1
-            self._pair_cache[key] = self._shifted_index(shift, ok)
-        return self._pair_cache[key]
-
-    def single_raise(self, ix: int) -> np.ndarray:
-        key = ("r", ix)
-        if key not in self._pair_cache:
-            shift = np.zeros(4, dtype=np.int64)
-            shift[ix] += 1
-            ok = np.ones(self.kets.shape[0], dtype=bool)
-            self._pair_cache[key] = self._shifted_index(shift, ok)
-        return self._pair_cache[key]
+    def shifted(self, shift: tuple) -> np.ndarray:
+        """rows(kets + shift): the row of each ket moved by `shift` occupations."""
+        if shift not in self._shift_cache:
+            self._shift_cache[shift] = self.rows(self.kets + np.array(shift, dtype=np.int64))
+        return self._shift_cache[shift]
 
 
 @lru_cache(maxsize=None)
@@ -282,13 +244,8 @@ class SparseFourModeState:
 
     def amplitude(self, ket) -> float:
         """Amplitude on one occupation quadruple (0.0 if absent)."""
-        sk = self._skeleton
-        n_a, n_b2, n_e, n_f = ket
-        code = ((int(n_a) * sk._base + int(n_b2)) * sk._base + int(n_e)) * sk._base + int(n_f)
-        pos = int(np.searchsorted(sk.ket_codes, code))
-        if pos < sk.ket_codes.size and sk.ket_codes[pos] == code:
-            return float(self.amps[pos])
-        return 0.0
+        row = int(self._skeleton.rows(ket)[0])
+        return float(self.amps[row]) if row >= 0 else 0.0
 
     def items(self):
         """Iterate (ket tuple, amplitude) in lexicographic ket order."""
@@ -398,7 +355,7 @@ def first_moment(state: SparseFourModeState, mode: str) -> float:
     """<X + X'> of one mode; identically zero for every state built here
     because no stored ket pairs with its own single raise."""
     i = _mode_index(mode)
-    idx = state._skeleton.single_raise(i)
+    idx = state._skeleton.shifted(tuple(int(j == i) for j in range(4)))
     ok = idx >= 0
     if not ok.any():
         return 0.0
@@ -424,18 +381,13 @@ def cross_covariance(state: SparseFourModeState, mode_x: str, mode_y: str) -> fl
     a = state.amps
     kets = state.kets
     total = 0.0
-
-    idx = sk.raise_raise(ix, iy)
-    ok = idx >= 0
-    if ok.any():
-        w = np.sqrt((kets[ok, ix] + 1.0) * (kets[ok, iy] + 1.0))
-        total += 2.0 * float(np.dot(a[ok] * w, a[idx[ok]]))
-
-    idx = sk.raise_lower(ix, iy)
-    ok = idx >= 0
-    if ok.any():
-        w = np.sqrt((kets[ok, ix] + 1.0) * kets[ok, iy])
-        total += 2.0 * float(np.dot(a[ok] * w, a[idx[ok]]))
+    # raise-raise weighs by sqrt((nx+1)(ny+1)), raise-lower by sqrt((nx+1) ny)
+    for dy, ny_extra in ((1, 1.0), (-1, 0.0)):
+        idx = sk.shifted(tuple(int(j == ix) + dy * int(j == iy) for j in range(4)))
+        ok = idx >= 0
+        if ok.any():
+            w = np.sqrt((kets[ok, ix] + 1.0) * (kets[ok, iy] + ny_extra))
+            total += 2.0 * float(np.dot(a[ok] * w, a[idx[ok]]))
 
     return total
 

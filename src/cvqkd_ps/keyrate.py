@@ -217,7 +217,9 @@ def key_rates_many(cfgs, t_e) -> list:
             _check(big, ValueError, f"alpha_sq={cfg.alpha_sq:g} out of range: "
                    f"V_A = {{:.3g}} > {_V_A_MAX:g}, where the bound loses its precision", s.v_a)
         summaries.append(s)
-    if len(cfgs) == 1:  # each fading average and crossing scan: a join would slow them ~8%
+    # one config (each cold curve's scan and bisection rounds, a one-scheme,
+    # one-layer fixed link): a 3-point call is 15-25% slower through the join
+    if len(cfgs) == 1:
         s, f = summaries[0], cfgs[0].recon_eff
     else:  # each field's blocks side by side, in one concatenate
         cols = CovarianceSummary.CSV_COLUMNS

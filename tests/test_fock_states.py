@@ -14,7 +14,6 @@ from cvqkd_ps.fock_states import (
     analytic_tap_probability,
     bs_coefficient,
     build_state,
-    pairing_factor,
     subtraction_probability,
     tmsv_coefficient,
 )
@@ -65,20 +64,6 @@ def test_bs_coefficient_errors():
         bs_coefficient(2, 1, 1.5)
     with pytest.raises(ValueError):
         bs_coefficient(2, -1, 0.5)
-
-
-def test_pairing_factor_values():
-    for n, m in [(0, 0), (3, 2), (5, 7)]:
-        assert pairing_factor(n, 0, m, 0) == 1.0
-    assert pairing_factor(2, 1, 1, 0) == pytest.approx(math.sqrt(2), abs=1e-12)
-    assert pairing_factor(3, 1, 2, 1) == pytest.approx(math.sqrt(6), abs=1e-12)
-
-
-def test_pairing_factor_errors():
-    with pytest.raises(ValueError):
-        pairing_factor(1, 2, 1, 0)  # n < k
-    with pytest.raises(ValueError):
-        pairing_factor(2, 1, 1, 2)  # l > m
 
 
 def test_tap_probability_closed_form():
@@ -150,6 +135,16 @@ def test_accumulation_matches_naive_loop(scheme):
     worst = max(abs(state.amplitude(k) - a) for k, a in naive.items())
     assert worst < 1e-12
     assert state.norm_constant == pytest.approx(sq, rel=1e-12)
+
+
+def test_amplitude_of_a_ket_outside_the_table_is_zero():
+    # the ket code has base 2 * trunc_n + 2 = 10 here: an occupation of 10 or
+    # more, or a negative one, must not carry into the next digit and land on
+    # |1,1,0,0>
+    state = build_state(cfg("nops", trunc_n=4), 0.5)
+    assert state.amplitude((1, 1, 0, 0)) == 0.36092270270761906
+    for ket in [(1, 0, 10, 0), (0, 11, 0, 0), (1, 2, -10, 0)]:
+        assert state.amplitude(ket) == 0.0
 
 
 def test_beta_zero_forces_empty_f_sector():

@@ -1,3 +1,4 @@
+import errno
 import math
 import os
 import re
@@ -414,6 +415,44 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     argv = ["transmissivity-sweep", "--config", str(bad), "--out", str(out)]
     assert _usage_error(capsys, argv) == "unknown config key 'no_such_key'"
     assert not out.exists()
+
+
+def _os_message(code, path=None):
+    """str() of the OSError that the OS raises with `code` on `path`."""
+    text = f"[Errno {code}] {os.strerror(code)}"
+    return text if path is None else f"{text}: {str(path)!r}"
+
+
+@pytest.mark.parametrize("missing", [True, False], ids=["missing", "directory"])
+def test_cli_unreadable_config_file_is_a_usage_error(tmp_path, capsys, missing):
+    path, out = tmp_path / ("missing.cfg" if missing else "adir"), tmp_path / "out.csv"
+    if not missing:
+        path.mkdir()
+    argv = ["transmissivity-sweep", "--points", "2", "--config", str(path), "--out", str(out)]
+    code = errno.ENOENT if missing else errno.EISDIR
+    assert _usage_error(capsys, argv) == _os_message(code, path)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("missing", [True, False], ids=["no-parent", "directory"])
+def test_cli_unwritable_output_is_a_usage_error(tmp_path, capsys, missing):
+    out = tmp_path / "nodir" / "x.csv" if missing else tmp_path / "adir"
+    if not missing:
+        out.mkdir()
+    argv = ["transmissivity-sweep", "--points", "2", "--out", str(out)]
+    code = errno.ENOENT if missing else errno.EISDIR
+    assert _usage_error(capsys, argv) == _os_message(code, out)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if missing else ["adir"])
+
+
+def test_cli_output_pipe_closed_early_is_a_usage_error(capsys):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader: the first write fails with EPIPE
+    try:
+        argv = ["transmissivity-sweep", "--points", "2", "--out", f"/dev/fd/{write_end}"]
+        assert _usage_error(capsys, argv) == _os_message(errno.EPIPE)
+    finally:
+        os.close(write_end)
 
 
 @pytest.mark.parametrize("argv,message", [
