@@ -97,9 +97,9 @@ NODES_MAX = 2048
 class FadingModel:
     """Log-negative Weibull fading law for given beam geometry.
 
-    sigma_b is the beam-wander standard deviation in units of the aperture
-    radius beta_r; w is the beam-spot radius.  h, eta0 (maximum transmission
-    coefficient), lambda_shape and l_scale are derived.
+    sigma_b is the beam-wander standard deviation in the length unit of
+    beta_r and w, the aperture and beam-spot radii.  h, eta0 (maximum
+    transmission coefficient), lambda_shape and l_scale are derived.
     """
 
     sigma_b: float

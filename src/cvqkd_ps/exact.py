@@ -25,6 +25,8 @@ covariance 2 k.
 tps taps the sources and sends them through the channel; rps taps the
 channel's output.  sigma is formed from the sources, not from the eight
 scalars: there k_jk and kappa_j kappa_k agree to about log10(a) digits.
+The fields of any number of configs over a 1-D T_E go into one
+(9, configs, points) array that the bound reads as it is.
 
 The scheme names, ``SchemeConfig`` and ``CovarianceSummary`` are defined here
 too: this module is the model.  The truncated Fock construction in
@@ -143,30 +145,39 @@ def _tap(g, t_s: float):
             m / ((1.0 + m) * (1.0 + m)))
 
 
-def exact_summary(cfg: SchemeConfig, t_e):
-    """The eight second-moment scalars and the tap probability, untruncated.
+def _moments(cfgs, t_e):
+    """t_e as a 1-D array, and the ``exact_summary`` fields of every config
+    over it in one (9, configs, points) array.  t_e is checked here alone: a
+    float or a 1-D array in [0, 1], else a ValueError."""
+    t = np.atleast_1d(np.asarray(t_e, dtype=float))
+    if t.ndim > 1:
+        raise ValueError(f"t_e must be a float or a 1-D array, got shape {t.shape}")
+    if not ((t >= 0.0) & (t <= 1.0)).all():
+        raise ValueError("t_e must lie in [0, 1]")
+    out = np.empty((9, len(cfgs), len(t)))
+    for k, cfg in enumerate(cfgs):
+        a, b = cfg.alpha_sq, cfg.beta_sq
+        if cfg.scheme == NO_PS:
+            q, p_sub = _channel(_Moments(a, a, b, b, math.sqrt(a * (1.0 + a)),
+                                         math.sqrt(b * (1.0 + b)), 0.0, 0.0), t), 1.0
+        else:
+            q, p_sub = _tap(_seen_from_b(a, b, t if cfg.scheme == R_PS else 1.0), cfg.t_s)
+            if cfg.scheme == T_PS:
+                q = _channel(q, t)
+        for j, x in enumerate((*q, p_sub)):
+            out[j, k] = x
+    out[:8] *= 2.0
+    out[:4] += 1.0  # a variance is 1 + 2 n, a covariance 2 k
+    return t, out
 
+
+def exact_summary(cfg: SchemeConfig, t_e):
+    """The eight second-moment scalars and the tap probability, untruncated:
+    one config's slice of the moments array that ``key_rates_many`` stacks.
     ``t_e`` is a float or a 1-D array; for an array every field is an array
     over its elements.  Where the tap can never fire (no photon reaches it,
     e.g. tps with alpha_sq = 0 or rps with beta_sq = 0 at t_e = 0) there is
-    no conditional state: that element, float or array, gets p_sub = 0 and
-    vacuum moments, for which every rate is 0.  ``cfg.trunc_n`` plays no
-    part.
-    """
-    t = np.atleast_1d(np.asarray(t_e, dtype=float))
-    if not ((t >= 0.0) & (t <= 1.0)).all():
-        raise ValueError("t_e must lie in [0, 1]")
-    a, b = cfg.alpha_sq, cfg.beta_sq
-    p_sub = 1.0
-    if cfg.scheme == NO_PS:
-        q = _channel(_Moments(a, a, b, b, math.sqrt(a * (1.0 + a)), math.sqrt(b * (1.0 + b)),
-                              0.0, 0.0), t)
-    else:
-        q, p_sub = _tap(_seen_from_b(a, b, t if cfg.scheme == R_PS else 1.0), cfg.t_s)
-        if cfg.scheme == T_PS:
-            q = _channel(q, t)
-    fields = [1.0 + 2.0 * n for n in q[:4]] + [2.0 * k for k in q[4:]] + [p_sub]
-    fields = [x if np.ndim(x) else np.full(t.shape, x) for x in fields]
-    if np.ndim(t_e) == 0:
-        fields = [x[0] for x in fields]
-    return CovarianceSummary(*fields)
+    no conditional state: that element gets p_sub = 0 and vacuum moments,
+    for which every rate is 0.  ``cfg.trunc_n`` plays no part."""
+    _, m = _moments([cfg], t_e)
+    return CovarianceSummary(*(m[:, 0, 0] if np.ndim(t_e) == 0 else m[:, 0]))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import CovarianceSummary, SchemeConfig, exact_summary
+from .exact import CovarianceSummary, SchemeConfig, _moments
 
 _NU_CLAMP = 1e-7
 _DISC_TOL = 1e-6
@@ -189,52 +189,38 @@ def key_rates_many(cfgs, t_e) -> list:
     map and one shared photon tap, p_sub = m / (1 + m)^2 with
     m = (1 - t_s) n_B), then the Gaussian figure, for each config over a 1-D
     array of transmissivities: one KeyRatePoint of arrays per config.  The
-    moments are one call per config; the bound is one call over them all.
-    A t_e of more than one dimension raises a ValueError that names its shape.
+    moments of all configs are one (9, configs, points) array; the bound is
+    one call over it, with f per element.
 
     Where the tap can never fire there is no conditional state: p_sub and
-    every rate are 0.  ``cfg.trunc_n`` is not used here.  An alpha_sq or a
-    beta_sq past the range where the bound keeps its precision raises a
-    ValueError that names it, checked for each config before the bound call.
+    every rate are 0.  ``cfg.trunc_n`` is not used here.  A t_e of more than
+    one dimension or outside [0, 1], or an alpha_sq or a beta_sq past the
+    range where the bound keeps its precision, raises a ValueError that
+    names it.  Every config's beta_sq is checked before any moments are
+    computed; alpha_sq on V_A, at the first failing config and element.
     Any failure of the bound on the computed moments, a ValueError of
     ``mutual_information`` or ``von_neumann_g`` included, raises a
     NumericalDomainError that names the scheme and t_e of the first failing
     element, and its ``index`` along t_e.
     """
-    t = np.atleast_1d(np.asarray(t_e, dtype=float))
-    if t.ndim > 1:
-        raise ValueError(f"t_e must be a float or a 1-D array, got shape {t.shape}")
-    if not cfgs:
-        return []
-    summaries = []
     for cfg in cfgs:
         if cfg.beta_sq > _BETA_SQ_MAX:
             raise ValueError(f"beta_sq={cfg.beta_sq:g} out of range: > {_BETA_SQ_MAX:g}, "
                              "where the bound loses its precision next to T_E = 1")
-        s = exact_summary(cfg, t)
-        big = s.v_a > _V_A_MAX
-        if np.count_nonzero(big):  # the message, which names alpha_sq, is formatted only here
-            _check(big, ValueError, f"alpha_sq={cfg.alpha_sq:g} out of range: "
-                   f"V_A = {{:.3g}} > {_V_A_MAX:g}, where the bound loses its precision", s.v_a)
-        summaries.append(s)
-    # one config (each cold curve's scan and bisection rounds, a one-scheme,
-    # one-layer fixed link): a 3-point call is 15-25% slower through the join
-    if len(cfgs) == 1:
-        s, f = summaries[0], cfgs[0].recon_eff
-    else:  # each field's blocks side by side, in one concatenate
-        cols = CovarianceSummary.CSV_COLUMNS
-        s = CovarianceSummary(*np.concatenate([getattr(x, c) for c in cols for x in summaries])
-                              .reshape(len(cols), len(cfgs) * len(t)))
-        f = np.array([cfg.recon_eff for cfg in cfgs]).repeat(len(t))
+    t, m = _moments(cfgs, t_e)
+    big = m[0] > _V_A_MAX
+    if np.count_nonzero(big):  # the message, which names alpha_sq, is formatted only here
+        k = int(big.any(axis=1).argmax())
+        _check(big[k], ValueError, f"alpha_sq={cfgs[k].alpha_sq:g} out of range: "
+               f"V_A = {{:.3g}} > {_V_A_MAX:g}, where the bound loses its precision", m[0, k])
+    f = np.repeat([cfg.recon_eff for cfg in cfgs], len(t))
     try:
-        kr = key_rate_from_summary(s, f, t)
+        kr = key_rate_from_summary(CovarianceSummary(*m.reshape(9, -1)), f, t)
     except (NumericalDomainError, ValueError) as exc:  # the bound failed on these moments
         k, i = divmod(getattr(exc, "index", 0), len(t))
         err = NumericalDomainError(f"{exc} (scheme={cfgs[k].scheme}, t_e={t[i]})")
         err.index = i
         raise err from exc
-    if len(cfgs) == 1:
-        return [kr]
     fields = (getattr(kr, c).reshape(len(cfgs), len(t)) for c in KeyRatePoint.CSV_COLUMNS[1:])
     return [KeyRatePoint(t, *block) for block in zip(*fields)]
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -87,6 +88,8 @@ class ExperimentConfig:
                 raise ValueError(f"unknown scheme {s!r}")
             if s in self.schemes[:i]:  # its rows would repeat under the same key
                 raise ValueError(f"--scheme repeats {s}")
+        if self.points is not None and not isinstance(self.points, numbers.Integral):
+            raise ValueError(f"--points must be an integer, got {self.points!r}")
         if self.points is not None and self.points < 1:
             raise ValueError(f"--points must be >= 1, got {self.points}")
         start, stop, points = self._bounds()

@@ -117,6 +117,29 @@ def test_sigma_b_does_not_move_shape_parameters():
     assert len({m.l_scale for m in ms}) == 1
 
 
+@pytest.mark.parametrize("scheme", ["nops", "tps", "rps"])
+def test_sigma_b_is_in_the_length_unit_of_beta_r_and_w(scheme):
+    # not in units of the aperture radius: scaling sigma_b, beta_r and w together
+    # leaves every average as it is, bit for bit where the scale is a power of 2
+    cfg, quad = SchemeConfig(scheme), QuadratureSpec()
+    for sigma_b in (0.1, 0.35, 1.0, 5.0):
+        for beta_r, w in ((1.0, 1.0), (3.0, 1.0), (0.3, 0.5)):
+            want = average_key_rates(cfg, weibull_params(sigma_b, beta_r, w), quad)
+            for c in (2.0, 3.0, 0.1, 7.5):
+                got = average_key_rates(cfg, weibull_params(c * sigma_b, c * beta_r, c * w),
+                                        quad)
+                if c == 2.0:
+                    assert got == want, (sigma_b, beta_r, w)
+                else:
+                    assert got.rate == pytest.approx(want.rate, rel=1e-13, abs=0.0)
+                    assert got.rate_normalized == pytest.approx(want.rate_normalized,
+                                                                rel=1e-13, abs=0.0)
+    # beta_r = w = 2 at sigma_b = 1 is the unit geometry at sigma_b = 0.5, not at 1
+    wide = average_key_rates(cfg, weibull_params(1.0, 2.0, 2.0), quad)
+    assert wide == average_key_rates(cfg, weibull_params(0.5), quad)
+    assert average_key_rates(cfg, weibull_params(1.0), quad).rate < wide.rate / 2
+
+
 def test_weibull_invalid_inputs():
     for bad in ((0.0, 1, 1), (1, -1, 1), (1, 1, 0)):
         with pytest.raises(ValueError):
@@ -863,28 +886,27 @@ def test_default_average_evaluation_count(monkeypatch, scheme, sigma_b):
     assert sizes == DEFAULT_CURVE_CALLS[scheme]
 
 
-def test_a_default_average_makes_one_bound_call_with_a_scalar_f(monkeypatch):
+def test_a_default_average_makes_one_bound_call(monkeypatch):
     calls = []
     real = keyrate_mod.key_rate_from_summary
 
     def counting(s, recon_eff, t_e):
-        calls.append((len(s.v_a), type(recon_eff)))
+        calls.append(len(s.v_a))
         return real(s, recon_eff, t_e)
 
     monkeypatch.setattr(keyrate_mod, "key_rate_from_summary", counting)
     average_key_rates(SchemeConfig("tps"), weibull_params(1.0), QuadratureSpec(200))
-    # the scan alone, one config: no join, and f stays the config's float
-    assert calls == [(_scan_size(), float)]
+    assert calls == [_scan_size()]  # the scan alone, one config
 
 
 # ------------------------------------------------- the memoised crossing search
 
 def _bound_calls(run):
-    """run()'s result and the (points, type of f) of each bound call it made."""
+    """run()'s result and the points of each bound call it made."""
     calls, real = [], keyrate_mod.key_rate_from_summary
 
     def counting(s, recon_eff, t_e):
-        calls.append((len(s.v_a), type(recon_eff)))
+        calls.append(len(s.v_a))
         return real(s, recon_eff, t_e)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -908,7 +930,7 @@ def test_a_warm_average_makes_no_bound_call_and_equals_a_cold_one(scheme, alpha_
     # the cold average's calls are those of its memo entry alone, the scan first
     channel_mod._crossings.cache_clear()
     _, memo_calls = _bound_calls(lambda: channel_mod._crossings(cfg, model.eta0))
-    assert cold_calls == memo_calls and cold_calls[0] == (_scan_size(), float)
+    assert cold_calls == memo_calls and cold_calls[0] == _scan_size()
     assert warm_calls == []
     assert ((warm.rate.hex(), warm.rate_normalized.hex())
             == (cold.rate.hex(), cold.rate_normalized.hex()))

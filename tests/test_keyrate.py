@@ -195,6 +195,11 @@ def test_stacked_bound_equals_one_point_calls(scheme, alpha_sq, beta_sq, t_s, t_
     assert list(got) == want
 
 
+def _as_moments(s):
+    """One config's summary s as the moments array the bound reads, (9, 1, points)."""
+    return np.array([getattr(s, c) for c in CovarianceSummary.CSV_COLUMNS])[:, None]
+
+
 def test_a_failing_conditional_block_names_its_own_element(monkeypatch):
     # Eve's block is physical (pure) everywhere; given x_B2 it is not at k only
     n, k = 5, 3
@@ -202,7 +207,7 @@ def test_a_failing_conditional_block_names_its_own_element(monkeypatch):
     c_fb2 = np.where(np.arange(n) == k, 1.0, 0.0)
     s = CovarianceSummary(*(np.full(n, v) for v in (3.6, 1.0, 1.5, 3.5, 0.0, -2.5, 0.0)),
                           c_fb2, np.ones(n))
-    monkeypatch.setattr(keyrate_mod, "exact_summary", lambda cfg, t_e: s)
+    monkeypatch.setattr(keyrate_mod, "_moments", lambda cfgs, t_e: (t, _as_moments(s)))
     with pytest.raises(NumericalDomainError) as err:
         key_rates(SchemeConfig("nops"), t)
     assert err.value.index == k
@@ -219,7 +224,7 @@ def test_a_bound_value_error_on_computed_moments_names_its_element(monkeypatch):
                           *(np.full(n, v) for v in (-2.5, 0.0, 0.0, 1.0)))
     with pytest.raises(ValueError, match="Cauchy-Schwarz"):
         mutual_information(s.v_a, s.v_b2, s.c_ab2)
-    monkeypatch.setattr(keyrate_mod, "exact_summary", lambda cfg, t_e: s)
+    monkeypatch.setattr(keyrate_mod, "_moments", lambda cfgs, t_e: (t, _as_moments(s)))
     with pytest.raises(NumericalDomainError) as err:
         key_rates(SchemeConfig("tps"), t)
     assert err.value.index == k
@@ -354,6 +359,21 @@ def test_many_configs_refuse_a_t_e_of_two_dimensions():
     assert str(err.value) == "t_e must be a float or a 1-D array, got shape (1, 2)"
 
 
+@pytest.mark.parametrize("t_e,message", [
+    ([[0.5]], "t_e must be a float or a 1-D array, got shape (1, 1)"),
+    ([[0.1, 0.2]], "t_e must be a float or a 1-D array, got shape (1, 2)"),
+    (1.5, "t_e must lie in [0, 1]"),
+    ([0.5, -0.1], "t_e must lie in [0, 1]"),
+], ids=["2-D", "2-D row", "above 1", "below 0"])
+def test_t_e_is_checked_in_one_place_for_both_entry_points(t_e, message):
+    for call in [lambda: exact_summary(SchemeConfig("tps"), t_e)] + [
+            lambda n=n: key_rates_many([SchemeConfig(s) for s in SCHEMES][:n], t_e)
+            for n in (0, 1, 3)]:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+
+
 @pytest.mark.parametrize("failing", ["tps", "rps"])
 def test_a_failure_in_one_block_names_that_block(monkeypatch, failing):
     # Eve's block given x_B2 is non-physical at k, in the failing scheme's block only
@@ -362,9 +382,14 @@ def test_a_failure_in_one_block_names_that_block(monkeypatch, failing):
     c_fb2 = np.where(np.arange(n) == k, 1.0, 0.0)
     bad = CovarianceSummary(*(np.full(n, v) for v in (3.6, 1.0, 1.5, 3.5, 0.0, -2.5, 0.0)),
                             c_fb2, np.ones(n))
-    real = keyrate_mod.exact_summary
-    monkeypatch.setattr(keyrate_mod, "exact_summary",
-                        lambda cfg, t_e: bad if cfg.scheme == failing else real(cfg, t_e))
+    real = keyrate_mod._moments
+
+    def one_bad_block(cfgs, t_e):
+        t, m = real(cfgs, t_e)
+        m[:, [cfg.scheme for cfg in cfgs].index(failing)] = _as_moments(bad)[:, 0]
+        return t, m
+
+    monkeypatch.setattr(keyrate_mod, "_moments", one_bad_block)
     with pytest.raises(NumericalDomainError) as err:
         key_rates_many([SchemeConfig(s) for s in SCHEMES], t)
     assert err.value.index == k

@@ -501,6 +501,15 @@ def test_cli_rejects_an_out_of_range_setting_by_flag(tmp_path, capsys, command, 
         assert not out.exists()
 
 
+@pytest.mark.parametrize("points", [2.5, 2.0, np.float64(3.0), "3"])
+@pytest.mark.parametrize("experiment", ["transmissivity_sweep", "noise_grid", "satellite_sweep"])
+def test_a_non_integer_point_count_is_refused_by_name(experiment, points):
+    with pytest.raises(ValueError) as err:
+        ExperimentConfig(experiment, points=points)
+    assert str(err.value) == f"--points must be an integer, got {points!r}"
+    assert len(ExperimentConfig(experiment, points=np.int64(3)).axis()) == 3
+
+
 def test_beam_settings_are_checked_only_where_a_fading_law_reads_them():
     for experiment in ("transmissivity_sweep", "distance_sweep", "noise_grid", "photon_grid"):
         ExperimentConfig(experiment, beta_r=math.nan, beam_w=-1.0)
